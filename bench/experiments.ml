@@ -808,8 +808,9 @@ let e13 () =
             Alg_expr.Binop (Alg_expr.Ge, lv, Alg_expr.Const (Value.Int 0)) ),
         [ "l"; "r" ] )
   in
+  let batch = Alg_batch.Batch { chunk = Alg_batch.default_chunk } in
   let tuple_envs = Alg_exec.run_list no_sources plan in
-  let batch_envs, _ = Alg_exec.run_batched no_sources plan in
+  let batch_envs, _ = Alg_exec.exec ~partial:false batch no_sources plan in
   let identical =
     List.length tuple_envs = List.length batch_envs
     && List.for_all2 Alg_env.equal tuple_envs batch_envs
@@ -820,7 +821,7 @@ let e13 () =
     Workloads.bench_ms ~runs:3 (fun () -> ignore (Alg_exec.run_list no_sources plan))
   in
   let batch_ms =
-    Workloads.bench_ms ~runs:3 (fun () -> ignore (Alg_exec.run_batched no_sources plan))
+    Workloads.bench_ms ~runs:3 (fun () -> ignore (Alg_exec.exec ~partial:false batch no_sources plan))
   in
   let speedup = if batch_ms > 0.0 then tuple_ms /. batch_ms else 0.0 in
   row "%-28s %14s %14s %10s %10s\n" "join workload" "tuple ms" "batch ms" "speedup" "rows";
@@ -907,10 +908,11 @@ let e14 () =
         [ "l"; "r" ] )
   in
   let cores = Domain.recommended_domain_count () in
-  let batch_envs, _ = Alg_exec.run_batched no_sources plan in
+  let batch = Alg_batch.Batch { chunk = Alg_batch.default_chunk } in
+  let batch_envs, _ = Alg_exec.exec ~partial:false batch no_sources plan in
   let rows_out = List.length batch_envs in
   let batch_ms =
-    Workloads.bench_ms ~runs:3 (fun () -> ignore (Alg_exec.run_batched no_sources plan))
+    Workloads.bench_ms ~runs:3 (fun () -> ignore (Alg_exec.exec ~partial:false batch no_sources plan))
   in
   row "host cores available: %d\n" cores;
   row "%-28s %14s %10s %10s\n" "join workload" "wall ms" "speedup" "rows";
@@ -920,7 +922,8 @@ let e14 () =
   Bench_json.note_param "join_batch_ms" (Printf.sprintf "%.1f" batch_ms);
   List.iter
     (fun domains ->
-      let par_envs, _ = Alg_exec.run_parallel ~domains no_sources plan in
+      let par = Alg_batch.Parallel { domains; chunk = Alg_batch.default_chunk } in
+      let par_envs, _ = Alg_exec.exec ~partial:false par no_sources plan in
       let identical =
         List.length batch_envs = List.length par_envs
         && List.for_all2 Alg_env.equal batch_envs par_envs
@@ -929,7 +932,7 @@ let e14 () =
         failwith (Printf.sprintf "E14: parallel(domains=%d) differs from batch" domains);
       let par_ms =
         Workloads.bench_ms ~runs:3 (fun () ->
-            ignore (Alg_exec.run_parallel ~domains no_sources plan))
+            ignore (Alg_exec.exec ~partial:false par no_sources plan))
       in
       let speedup = if par_ms > 0.0 then batch_ms /. par_ms else 0.0 in
       row "%-28s %14.1f %9.2fx %10d\n"

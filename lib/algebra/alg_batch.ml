@@ -11,7 +11,7 @@ type chunk = Alg_env.t array
 
 let default_chunk = 1024
 
-type mode =
+type mode = Alg_stats.mode =
   | Tuple
   | Batch of { chunk : int }
   | Parallel of { domains : int; chunk : int }
@@ -151,98 +151,6 @@ let group_rows ?(size_hint = 32) keys aggs input_envs =
       let agg_bindings = List.map2 (fun st (var, agg) -> (var, result st agg)) states aggs in
       Alg_env.of_bindings (key_bindings @ agg_bindings))
     !order
-
-(* ------------------------------------------------------------------ *)
-(* Statistics                                                          *)
-(* ------------------------------------------------------------------ *)
-
-type op_batch = {
-  ob_plan : Alg_plan.t;
-  ob_vectorized : bool;
-  mutable ob_fused : bool;
-  mutable ob_pulled : bool;
-  mutable ob_batches : int;
-  mutable ob_rows : int;
-  mutable ob_ms : float;
-  mutable ob_idx_probe : int;
-  mutable ob_idx_guide : int;
-  mutable ob_idx_miss : int;
-  ob_kids : op_batch list;
-}
-
-type stats = {
-  chunk_size : int;
-  root : op_batch;
-}
-
-let operator_vectorized = function
-  | Alg_plan.Nl_join _ | Alg_plan.Merge_join _ | Alg_plan.Dep_join _
-  | Alg_plan.Distinct _ -> false
-  | _ -> true
-
-let rec make_stats plan =
-  {
-    ob_plan = plan;
-    ob_vectorized = operator_vectorized plan;
-    ob_fused = false;
-    ob_pulled = false;
-    ob_batches = 0;
-    ob_rows = 0;
-    ob_ms = 0.0;
-    ob_idx_probe = 0;
-    ob_idx_guide = 0;
-    ob_idx_miss = 0;
-    ob_kids = List.map make_stats (Alg_plan.children plan);
-  }
-
-let rec stats_index acc ob =
-  List.fold_left stats_index ((ob.ob_plan, ob) :: acc) ob.ob_kids
-
-let find_stats stats plan =
-  (* Physical identity: each plan node appears once in a compiled tree. *)
-  Option.map snd
-    (List.find_opt (fun (p, _) -> p == plan) (stats_index [] stats.root))
-
-let actual_of_stats stats plan =
-  match find_stats stats plan with
-  | Some ob when ob.ob_pulled -> Some (ob.ob_rows, ob.ob_ms)
-  | Some _ | None -> None
-
-(* The [idx=probe:P/guide:G/miss:M] EXPLAIN ANALYZE cell; rendered only
-   once a Navigate actually hit an index, so unindexed plans print
-   exactly as before. *)
-let idx_cell probe guide miss =
-  if probe + guide = 0 then []
-  else [ Printf.sprintf "idx=probe:%d/guide:%d/miss:%d" probe guide miss ]
-
-let cells_of_stats stats plan =
-  match find_stats stats plan with
-  | None -> []
-  | Some ob ->
-    if not ob.ob_pulled then []
-    else if ob.ob_fused then [ "fused=select" ]
-    else if not ob.ob_vectorized then [ "fallback=tuple" ]
-    else if ob.ob_batches = 0 then []
-    else
-      let b = float_of_int ob.ob_batches in
-      let r = float_of_int ob.ob_rows in
-      [
-        Printf.sprintf "batches=%d" ob.ob_batches;
-        Printf.sprintf "rows/batch=%.1f" (r /. b);
-        Printf.sprintf "fill=%.2f" (r /. (b *. float_of_int stats.chunk_size));
-      ]
-      @ idx_cell ob.ob_idx_probe ob.ob_idx_guide ob.ob_idx_miss
-
-let span_of_stats stats =
-  let rec go ob =
-    let sp = Obs_span.make (Alg_plan.node_label ob.ob_plan) in
-    Obs_span.set_int sp "rows" ob.ob_rows;
-    Obs_span.set_int sp "batches" ob.ob_batches;
-    Obs_span.set_duration_ms sp ob.ob_ms;
-    List.iter (fun k -> Obs_span.add_child sp (go k)) ob.ob_kids;
-    sp
-  in
-  go stats.root
 
 (* ------------------------------------------------------------------ *)
 (* Chunk cursors                                                       *)
@@ -478,16 +386,16 @@ type counters = {
   c_fallbacks : Obs_metrics.counter;
 }
 
-let instrument counters ob (cur : cursor) : cursor =
+let instrument counters (ob : Alg_stats.op) (cur : cursor) : cursor =
  fun () ->
-  ob.ob_pulled <- true;
+  ob.op_pulled <- true;
   let t0 = Obs_clock.wall_ms () in
   let r = cur () in
-  ob.ob_ms <- ob.ob_ms +. (Obs_clock.wall_ms () -. t0);
+  ob.op_ms <- ob.op_ms +. (Obs_clock.wall_ms () -. t0);
   (match r with
   | Some ch ->
-    ob.ob_batches <- ob.ob_batches + 1;
-    ob.ob_rows <- ob.ob_rows + Array.length ch;
+    ob.op_chunks <- ob.op_chunks + 1;
+    ob.op_rows <- ob.op_rows + Array.length ch;
     Obs_metrics.inc counters.c_batches;
     Obs_metrics.inc ~by:(Array.length ch) counters.c_rows
   | None -> ());
@@ -498,14 +406,14 @@ let instrument counters ob (cur : cursor) : cursor =
    its build side while the plan is being turned into a Seq); the
    returned cursor is the lazy part.  Build-side work is charged to the
    node's inclusive time. *)
-let rec compile cfg counters ob plan : cursor =
+let rec compile cfg counters (ob : Alg_stats.op) plan : cursor =
   let t0 = Obs_clock.wall_ms () in
   let cur = compile_node cfg counters ob plan in
-  ob.ob_ms <- ob.ob_ms +. (Obs_clock.wall_ms () -. t0);
+  ob.op_ms <- ob.op_ms +. (Obs_clock.wall_ms () -. t0);
   instrument counters ob cur
 
-and compile_node cfg counters ob plan : cursor =
-  let kid i = List.nth ob.ob_kids i in
+and compile_node cfg counters (ob : Alg_stats.op) plan : cursor =
+  let kid i = List.nth ob.op_kids i in
   let fallback () =
     Obs_metrics.inc counters.c_fallbacks;
     cursor_of_seq cfg (cfg.fallback plan)
@@ -525,20 +433,20 @@ and compile_node cfg counters ob plan : cursor =
   | Alg_plan.Project (Alg_plan.Select (inner, pred), vars) ->
     (* Fused select+project: one pass filters and narrows. *)
     let sel_ob = kid 0 in
-    sel_ob.ob_fused <- true;
-    sel_ob.ob_pulled <- true;
+    sel_ob.op_fused <- true;
+    sel_ob.op_pulled <- true;
     let test = compile_pred pred in
     let narrow = compile_project vars in
-    let input_cur = compile cfg counters (List.nth sel_ob.ob_kids 0) inner in
+    let input_cur = compile cfg counters (List.nth sel_ob.op_kids 0) inner in
     rechunked cfg (fun emit ->
         match input_cur () with
         | None -> false
         | Some ch ->
-          sel_ob.ob_batches <- sel_ob.ob_batches + 1;
+          sel_ob.op_chunks <- sel_ob.op_chunks + 1;
           Array.iter
             (fun env ->
               if test env then begin
-                sel_ob.ob_rows <- sel_ob.ob_rows + 1;
+                sel_ob.op_rows <- sel_ob.op_rows + 1;
                 emit (narrow env)
               end)
             ch;
@@ -646,10 +554,7 @@ and compile_node cfg counters ob plan : cursor =
               | Some (Dtree.Atom _) -> ()
               | Some tree ->
                 let matches, how = navigate_matches tree path in
-                (match how with
-                | `Probe -> ob.ob_idx_probe <- ob.ob_idx_probe + 1
-                | `Guide -> ob.ob_idx_guide <- ob.ob_idx_guide + 1
-                | `Miss -> ob.ob_idx_miss <- ob.ob_idx_miss + 1);
+                Alg_stats.count_idx ob how;
                 List.iter (fun m -> emit (Alg_env.bind env out m)) matches)
             ch;
           true)
@@ -698,7 +603,7 @@ and compile_node cfg counters ob plan : cursor =
   | Alg_plan.Nl_join _ | Alg_plan.Merge_join _ | Alg_plan.Dep_join _
   | Alg_plan.Distinct _ -> fallback ()
 
-let run ?(chunk = default_chunk) ~sources ~fallback ~template plan =
+let run ~chunk ~sources ~fallback ~template (stats : Alg_stats.t) plan =
   let cfg = { chunk_size = max 1 chunk; sources; fallback; template } in
   let counters =
     {
@@ -707,8 +612,7 @@ let run ?(chunk = default_chunk) ~sources ~fallback ~template plan =
       c_fallbacks = Obs_metrics.counter "batch.fallbacks";
     }
   in
-  let root = make_stats plan in
-  let cur = compile cfg counters root plan in
+  let cur = compile cfg counters stats.root plan in
   let chunks = ref [] in
   let rec go () =
     match cur () with
@@ -718,5 +622,4 @@ let run ?(chunk = default_chunk) ~sources ~fallback ~template plan =
       go ()
   in
   go ();
-  let envs = List.concat_map Array.to_list (List.rev !chunks) in
-  (envs, { chunk_size = cfg.chunk_size; root })
+  List.concat_map Array.to_list (List.rev !chunks)

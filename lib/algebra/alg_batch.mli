@@ -15,13 +15,14 @@
     when the plan is compiled, exactly as in {!Alg_exec}; rows then flow
     lazily chunk by chunk, so [LIMIT] still short-circuits its input.
 
-    Operators without a vectorized implementation (nested-loop,
-    merge and dependent joins, distinct) fall back per-operator: the
-    whole subtree runs on the tuple engine and its rows are re-chunked.
+    Operators without a vectorized implementation
+    ({!Alg_stats.falls_back}) fall back per-operator: the whole subtree
+    runs on the tuple engine and its rows are re-chunked.
 
     This module is closed under the algebra layer: the tuple engine is
     injected as a closure ([fallback]/[template] in {!run}), and
-    {!Alg_exec.run_batched} does the wiring. *)
+    {!Alg_exec.exec} does the wiring.  Per-operator batches, rows and
+    time land in the shared {!Alg_stats} tree. *)
 
 type chunk = Alg_env.t array
 
@@ -33,13 +34,10 @@ val default_chunk : int
     The knob surfaced through the mediator, the facade and the CLI
     ([--exec-mode]/[--chunk-size], repl [\exec]). *)
 
-type mode =
-  | Tuple  (** the seed engine, {!Alg_exec.run} — the default *)
+type mode = Alg_stats.mode =
+  | Tuple
   | Batch of { chunk : int }
   | Parallel of { domains : int; chunk : int }
-      (** the morsel-driven multicore engine, {!Alg_exec.run_parallel} —
-          [domains] workers (the caller included) over morsels of
-          [chunk] rows *)
 
 val mode_to_string : mode -> string
 
@@ -47,57 +45,21 @@ val mode_of_string : string -> mode option
 (** Accepts ["tuple"], ["batch"] (chunk {!default_chunk}) and
     ["parallel"] ([Domain.recommended_domain_count ()] domains). *)
 
-(** {1 Per-operator batch statistics}
-
-    Mirrors {!Alg_exec.op_stats}; additionally counts batches so
-    EXPLAIN ANALYZE can show batches, rows/batch and fill ratio. *)
-
-type op_batch = {
-  ob_plan : Alg_plan.t;
-  ob_vectorized : bool;  (** false: subtree ran on the tuple engine *)
-  mutable ob_fused : bool;  (** select fused into its parent project *)
-  mutable ob_pulled : bool;
-  mutable ob_batches : int;
-  mutable ob_rows : int;
-  mutable ob_ms : float;  (** inclusive of input operators *)
-  mutable ob_idx_probe : int;  (** Navigate bindings answered by a value probe *)
-  mutable ob_idx_guide : int;  (** … answered by the structural guide alone *)
-  mutable ob_idx_miss : int;   (** … that fell back to the tree walker *)
-  ob_kids : op_batch list;
-}
-
-type stats = {
-  chunk_size : int;
-  root : op_batch;
-}
-
-val actual_of_stats : stats -> Alg_plan.t -> (int * float) option
-(** As {!Alg_exec.actual_of_stats}: (rows, inclusive ms) by physical
-    node identity, [None] for nodes never pulled. *)
-
-val cells_of_stats : stats -> Alg_plan.t -> string list
-(** The batch columns of EXPLAIN ANALYZE for one node:
-    [batches=… rows/batch=… fill=…] for executed vectorized operators,
-    [fallback=tuple] for fallback roots, [fused=select] for a select
-    absorbed into its parent project; [[]] otherwise. *)
-
-val span_of_stats : stats -> Obs_span.t
-(** Statistics as a span tree, for the trace sink. *)
-
 (** {1 Running} *)
 
 val run :
-  ?chunk:int ->
+  chunk:int ->
   sources:(string -> string -> Alg_env.t Seq.t) ->
   fallback:(Alg_plan.t -> Alg_env.t Seq.t) ->
   template:(Alg_env.t -> Alg_plan.template -> Dtree.t) ->
+  Alg_stats.t ->
   Alg_plan.t ->
-  Alg_env.t list * stats
-(** Compile the plan to a chunk pipeline and drain it.  [sources]
-    resolves scans (raise {!Alg_exec.Source_unavailable} as usual);
-    [fallback] runs a non-vectorized subtree on the tuple engine;
-    [template] instantiates CONSTRUCT templates.  Most callers want
-    {!Alg_exec.run_batched}. *)
+  Alg_env.t list
+(** Compile the plan to a chunk pipeline of [chunk]-row batches and
+    drain it, filling the statistics tree.  [sources] resolves scans
+    (raise {!Alg_exec.Source_unavailable} as usual); [fallback] runs a
+    non-vectorized subtree on the tuple engine; [template] instantiates
+    CONSTRUCT templates.  Callers want {!Alg_exec.exec}. *)
 
 (** {1 Shared operator semantics}
 
@@ -115,10 +77,6 @@ val navigate_matches :
     indexable ([`Probe] used a value index, [`Guide] the structural
     summary), otherwise by walking the tree ([`Miss]).  Results are
     byte-identical either way and safe to call from worker domains. *)
-
-val idx_cell : int -> int -> int -> string list
-(** [idx_cell probe guide miss] — the [idx=…] EXPLAIN ANALYZE cell,
-    empty unless an index answered something. *)
 
 val compare_specs : Alg_plan.sort_spec list -> Alg_env.t -> Alg_env.t -> int
 (** Reference sort comparison: evaluates the key expressions on both

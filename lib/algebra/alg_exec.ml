@@ -222,47 +222,6 @@ let partial_guard skipped sources source binding =
     if not (List.mem name !skipped) then skipped := name :: !skipped;
     Seq.empty
 
-let run_partial sources plan =
-  let skipped = ref [] in
-  let envs = run_list (partial_guard skipped sources) plan in
-  (envs, List.rev !skipped)
-
-(* ------------------------------------------------------------------ *)
-(* Batch-at-a-time execution (Alg_batch wired to this engine)          *)
-(* ------------------------------------------------------------------ *)
-
-let run_batched ?chunk sources plan =
-  Alg_batch.run ?chunk ~sources
-    ~fallback:(fun p -> run sources p)
-    ~template:build_template plan
-
-(* Morsel-driven parallel execution (Alg_par wired to this engine). *)
-let run_parallel ?domains ?chunk ?cost_rows sources plan =
-  Alg_par.run ?domains ?chunk ?cost_rows ~sources
-    ~fallback:(fun p -> run sources p)
-    ~template:build_template plan
-
-let run_mode ?cost_rows mode sources plan =
-  match mode with
-  | Alg_batch.Tuple -> run_list sources plan
-  | Alg_batch.Batch { chunk } -> fst (run_batched ~chunk sources plan)
-  | Alg_batch.Parallel { domains; chunk } ->
-    fst (run_parallel ~domains ~chunk ?cost_rows sources plan)
-
-let run_partial_mode ?cost_rows mode sources plan =
-  match mode with
-  | Alg_batch.Tuple -> run_partial sources plan
-  | Alg_batch.Batch { chunk } ->
-    let skipped = ref [] in
-    let envs, _ = run_batched ~chunk (partial_guard skipped sources) plan in
-    (envs, List.rev !skipped)
-  | Alg_batch.Parallel { domains; chunk } ->
-    let skipped = ref [] in
-    let envs, _ =
-      run_parallel ~domains ~chunk ?cost_rows (partial_guard skipped sources) plan
-    in
-    (envs, List.rev !skipped)
-
 (* Scan resolution against a prefetched buffer: scatter-gather fetches
    every access up front, and scans then pull from the buffer instead of
    the wire.  Buffered failures re-raise here — at pull time — so
@@ -275,100 +234,56 @@ let buffered lookup fallback : source_fn =
   | Some (Error e) -> raise e
   | None -> fallback access_id binding
 
-let of_tuples binding rows =
-  seq_of_list
-    (List.map
-       (fun row -> Alg_env.of_bindings [ (binding, Dtree.of_tuple binding row) ])
-       rows)
-
 (* ------------------------------------------------------------------ *)
-(* Instrumented execution                                              *)
+(* The engine entry point                                              *)
 (* ------------------------------------------------------------------ *)
 
-type op_stats = {
-  op_plan : Alg_plan.t;
-  mutable actual_rows : int;
-  mutable elapsed_ms : float;  (* inclusive of input operators *)
-  mutable pulled : bool;
-  mutable idx_probe : int;
-  mutable idx_guide : int;
-  mutable idx_miss : int;
-  op_kids : op_stats list;
-}
-
-let rec make_stats plan =
-  {
-    op_plan = plan;
-    actual_rows = 0;
-    elapsed_ms = 0.0;
-    pulled = false;
-    idx_probe = 0;
-    idx_guide = 0;
-    idx_miss = 0;
-    op_kids = List.map make_stats (Alg_plan.children plan);
-  }
-
-let rec stats_index acc st =
-  List.fold_left stats_index ((st.op_plan, st) :: acc) st.op_kids
-
-let find_stats index plan =
-  (* Physical identity: each plan node appears once in a compiled tree. *)
-  Option.map snd (List.find_opt (fun (p, _) -> p == plan) index)
-
-(* Wrap a sequence so every pull charges inclusive wall time to [st] and
-   every element bumps its row count. *)
-let counted st seq =
+(* Tuple-engine instrumentation: wrap a sequence so every pull charges
+   inclusive wall time to [op] and every element bumps its row count. *)
+let counted (op : Alg_stats.op) seq =
   let rec aux s () =
-    st.pulled <- true;
+    op.op_pulled <- true;
     let t0 = Obs_clock.wall_ms () in
     let node = s () in
-    st.elapsed_ms <- st.elapsed_ms +. (Obs_clock.wall_ms () -. t0);
+    op.op_ms <- op.op_ms +. (Obs_clock.wall_ms () -. t0);
     match node with
     | Seq.Nil -> Seq.Nil
     | Seq.Cons (x, rest) ->
-      st.actual_rows <- st.actual_rows + 1;
+      op.op_rows <- op.op_rows + 1;
       Seq.Cons (x, aux rest)
   in
   aux seq
 
-let rec span_of_stats st =
-  let sp = Obs_span.make (Alg_plan.node_label st.op_plan) in
-  Obs_span.set_int sp "rows" st.actual_rows;
-  Obs_span.set_duration_ms sp st.elapsed_ms;
-  List.iter (fun k -> Obs_span.add_child sp (span_of_stats k)) st.op_kids;
-  sp
-
-let run_instrumented sources plan =
-  let root = make_stats plan in
-  let index = stats_index [] root in
-  let hook p seq =
-    match find_stats index p with
-    | Some st -> counted st seq
-    | None -> seq
+let exec ?stats ?cost_rows ~partial mode sources plan =
+  let skipped = ref [] in
+  let sources = if partial then partial_guard skipped sources else sources in
+  (* Batch and parallel runs always fill a tree; the caller's sink, if
+     any, or a private one. *)
+  let tree () = match stats with Some st -> st | None -> Alg_stats.create plan in
+  Option.iter (fun st -> st.Alg_stats.engine <- mode) stats;
+  let fallback p = run sources p in
+  let envs =
+    match mode with
+    | Alg_batch.Tuple -> (
+      match stats with
+      | None -> run_list sources plan
+      | Some st ->
+        let hook p seq =
+          match Alg_stats.find st p with
+          | Some op -> counted op seq
+          | None -> seq
+        in
+        let on_idx p how =
+          Option.iter (fun op -> Alg_stats.count_idx op how) (Alg_stats.find st p)
+        in
+        List.of_seq (run_hooked ~on_idx hook sources plan))
+    | Alg_batch.Batch { chunk } ->
+      Alg_batch.run ~chunk ~sources ~fallback ~template:build_template (tree ()) plan
+    | Alg_batch.Parallel { domains; chunk } ->
+      Alg_par.run ~domains ~chunk ?cost_rows ~sources ~fallback ~template:build_template
+        (tree ()) plan
   in
-  let on_idx p how =
-    match find_stats index p with
-    | None -> ()
-    | Some st -> (
-      match how with
-      | `Probe -> st.idx_probe <- st.idx_probe + 1
-      | `Guide -> st.idx_guide <- st.idx_guide + 1
-      | `Miss -> st.idx_miss <- st.idx_miss + 1)
-  in
-  let envs = List.of_seq (run_hooked ~on_idx hook sources plan) in
-  if Obs_trace.enabled () then Obs_trace.emit (span_of_stats root);
-  (envs, root)
-
-let actual_of_stats root =
-  let index = stats_index [] root in
-  fun plan ->
-    match find_stats index plan with
-    | Some st when st.pulled -> Some (st.actual_rows, st.elapsed_ms)
-    | Some _ | None -> None
-
-let idx_cells_of_stats root =
-  let index = stats_index [] root in
-  fun plan ->
-    match find_stats index plan with
-    | Some st -> Alg_batch.idx_cell st.idx_probe st.idx_guide st.idx_miss
-    | None -> []
+  (match stats with
+  | Some st when Obs_trace.enabled () -> Obs_trace.emit (Alg_stats.span st)
+  | Some _ | None -> ());
+  (envs, List.rev !skipped)

@@ -4,7 +4,10 @@
     (sort, group, distinct, hash-join build side) materialize their
     input.  Sources are resolved through a caller-supplied function, so
     the same plan can run against live sources, materialized views or
-    test fixtures. *)
+    test fixtures.  {!exec} is the entry point for every engine and
+    mode; {!run} and {!run_list} are the plain tuple interpreter it
+    falls back on, and the reference the other engines are tested
+    against. *)
 
 type source_fn = string -> string -> Alg_env.t Seq.t
 (** [source_fn source binding] yields the environments of a scan.  Raise
@@ -20,52 +23,32 @@ val run : source_fn -> Alg_plan.t -> Alg_env.t Seq.t
 val run_list : source_fn -> Alg_plan.t -> Alg_env.t list
 (** Force the whole result. *)
 
-val run_partial :
-  source_fn -> Alg_plan.t -> Alg_env.t list * string list
-(** Partial-results mode (section 3.4): scans whose source raises
-    {!Source_unavailable} contribute no rows instead of failing; the
-    returned list names the sources that were skipped, so the caller can
-    annotate the answer as incomplete. *)
-
-(** {1 Batch-at-a-time execution}
-
-    The vectorized engine of {!Alg_batch}, wired to this module's
-    sources, fallback and template machinery.  Same answers, same
-    order, same strict/partial semantics; rows move in chunks. *)
-
-val run_batched :
-  ?chunk:int -> source_fn -> Alg_plan.t -> Alg_env.t list * Alg_batch.stats
-(** Run on the batch engine (chunk default {!Alg_batch.default_chunk}),
-    returning the rows plus the per-operator batch statistics. *)
-
-val run_parallel :
-  ?domains:int ->
-  ?chunk:int ->
+val exec :
+  ?stats:Alg_stats.t ->
   ?cost_rows:(Alg_plan.t -> float) ->
+  partial:bool ->
+  Alg_batch.mode ->
   source_fn ->
   Alg_plan.t ->
-  Alg_env.t list * Alg_par.stats
-(** Run on the morsel-driven parallel engine of {!Alg_par} ([domains]
-    default {!Alg_par.default_domains}, morsel size default
-    {!Alg_batch.default_chunk}), returning the rows plus the
-    per-operator parallel statistics.  Same answers, same order, same
-    strict/partial semantics as the other engines.  [cost_rows]
-    estimates a subplan's output rows so per-partition hash-join tables
-    pre-size from real cardinalities (the mediator passes its
-    feedback/statistics-backed estimator); default is the blind cost
-    model. *)
+  Alg_env.t list * string list
+(** Run the plan on the engine [mode] names: the tuple engine
+    ({!run_list}), the batch engine of {!Alg_batch} or the morsel-driven
+    parallel engine of {!Alg_par}.  Same answers, same order and the
+    same strict/partial semantics on every engine.
 
-val run_mode :
-  ?cost_rows:(Alg_plan.t -> float) ->
-  Alg_batch.mode -> source_fn -> Alg_plan.t -> Alg_env.t list
-(** {!run_list}, {!run_batched} or {!run_parallel} according to the
-    mode ([cost_rows] reaches the parallel engine only). *)
+    With [~partial:true] (section 3.4), scans whose source raises
+    {!Source_unavailable} contribute no rows instead of failing; the
+    returned list names the sources that were skipped, so the caller can
+    annotate the answer as incomplete.  Strict runs return [[]] there.
 
-val run_partial_mode :
-  ?cost_rows:(Alg_plan.t -> float) ->
-  Alg_batch.mode -> source_fn -> Alg_plan.t -> Alg_env.t list * string list
-(** {!run_partial} under any engine: unavailable sources contribute
-    no rows and are reported, whichever engine executes the plan. *)
+    [stats] is the EXPLAIN ANALYZE sink: a tree from
+    {!Alg_stats.create} for this plan, which the engine fills with
+    per-operator rows and inclusive wall time (plus batch, morsel and
+    index counters); when the trace sink is enabled it is also emitted
+    as a span tree.  Without it, the tuple engine runs uninstrumented.
+    [cost_rows] estimates a subplan's output rows so the parallel
+    engine's per-partition hash-join tables pre-size from real
+    cardinalities (default: the blind cost model). *)
 
 val buffered :
   (string -> (Alg_env.t list, exn) result option) ->
@@ -77,44 +60,6 @@ val buffered :
     strict/partial semantics match sequential fetching); otherwise the
     scan falls through to [fallback].  The scatter-gather fetch path. *)
 
-(** {1 Instrumented execution}
-
-    The observability path: identical semantics to {!run_list}, plus a
-    per-operator statistics tree (rows out, inclusive wall time) mirroring
-    the plan — the raw material of EXPLAIN ANALYZE.  When the trace sink
-    is enabled, the statistics also emit as a span tree. *)
-
-type op_stats = {
-  op_plan : Alg_plan.t;          (** the node these numbers describe *)
-  mutable actual_rows : int;     (** rows this operator produced *)
-  mutable elapsed_ms : float;    (** inclusive wall time (with inputs) *)
-  mutable pulled : bool;         (** false: the executor never reached it *)
-  mutable idx_probe : int;       (** Navigate bindings answered by value probe *)
-  mutable idx_guide : int;       (** … answered by the structural guide *)
-  mutable idx_miss : int;        (** … that fell back to the tree walker *)
-  op_kids : op_stats list;       (** same shape as {!Alg_plan.children} *)
-}
-
-val run_instrumented :
-  source_fn -> Alg_plan.t -> Alg_env.t list * op_stats
-(** Force the whole result, counting rows and charging inclusive time per
-    operator.  With the sink disabled this allocates only the statistics
-    tree; results are identical to {!run_list}. *)
-
-val actual_of_stats : op_stats -> Alg_plan.t -> (int * float) option
-(** Lookup (by physical node identity) suitable as the [actual] argument
-    of {!Alg_cost.explain_analyze}; [None] for nodes never pulled. *)
-
-val idx_cells_of_stats : op_stats -> Alg_plan.t -> string list
-(** The [idx=probe:…/guide:…/miss:…] EXPLAIN ANALYZE cell for a node,
-    empty unless an index answered some of its Navigate bindings. *)
-
 val build_template :
   Alg_env.t -> Alg_plan.template -> Dtree.t
 (** Instantiate a CONSTRUCT template against one environment. *)
-
-val of_tuples : string -> Tuple.t list -> Alg_env.t Seq.t
-(** Helper: wrap rows as environments binding one variable per row
-    ([binding] bound to the row as a tree labelled with the source
-    name)... see implementation note in the interface of the mediator:
-    each tuple becomes a tree [<binding><col>v</col>...</binding>]. *)

@@ -136,109 +136,6 @@ let run_region ~domains n (task : int -> unit) : float array =
   busy
 
 (* ------------------------------------------------------------------ *)
-(* Statistics                                                          *)
-(* ------------------------------------------------------------------ *)
-
-type op_par = {
-  op_plan : Alg_plan.t;
-  op_parallel : bool;
-  mutable op_pulled : bool;
-  mutable op_morsels : int;
-  mutable op_rows : int;
-  mutable op_ms : float;  (* inclusive *)
-  (* Navigate index outcomes tick from worker domains, hence atomics. *)
-  op_idx_probe : int Atomic.t;
-  op_idx_guide : int Atomic.t;
-  op_idx_miss : int Atomic.t;
-  op_kids : op_par list;
-}
-
-type stats = {
-  domains : int;
-  chunk_size : int;
-  busy : float array;  (* per-domain busy ms; slot 0 is the caller *)
-  mutable morsels : int;
-  root : op_par;
-}
-
-let operator_parallel = function
-  | Alg_plan.Nl_join _ | Alg_plan.Merge_join _ | Alg_plan.Dep_join _
-  | Alg_plan.Distinct _ -> false
-  | _ -> true
-
-let rec make_stats plan =
-  {
-    op_plan = plan;
-    op_parallel = operator_parallel plan;
-    op_pulled = false;
-    op_morsels = 0;
-    op_rows = 0;
-    op_ms = 0.0;
-    op_idx_probe = Atomic.make 0;
-    op_idx_guide = Atomic.make 0;
-    op_idx_miss = Atomic.make 0;
-    op_kids = List.map make_stats (Alg_plan.children plan);
-  }
-
-let rec stats_index acc ob =
-  List.fold_left stats_index ((ob.op_plan, ob) :: acc) ob.op_kids
-
-let find_stats stats plan =
-  (* Physical identity: each plan node appears once in a compiled tree. *)
-  Option.map snd
-    (List.find_opt (fun (p, _) -> p == plan) (stats_index [] stats.root))
-
-let actual_of_stats stats plan =
-  match find_stats stats plan with
-  | Some ob when ob.op_pulled -> Some (ob.op_rows, ob.op_ms)
-  | Some _ | None -> None
-
-let busy_max stats = Array.fold_left Float.max 0.0 stats.busy
-
-let busy_min stats =
-  match Array.length stats.busy with
-  | 0 -> 0.0
-  | _ -> Array.fold_left Float.min stats.busy.(0) stats.busy
-
-let cells_of_stats stats plan =
-  match find_stats stats plan with
-  | None -> []
-  | Some ob ->
-    if not ob.op_pulled then []
-    else begin
-      let base =
-        if not ob.op_parallel then [ "fallback=tuple" ]
-        else if ob.op_morsels > 0 then [ Printf.sprintf "morsels=%d" ob.op_morsels ]
-        else []
-      in
-      let base =
-        base
-        @ Alg_batch.idx_cell
-            (Atomic.get ob.op_idx_probe)
-            (Atomic.get ob.op_idx_guide)
-            (Atomic.get ob.op_idx_miss)
-      in
-      if ob == stats.root then
-        base
-        @ [
-            Printf.sprintf "domains=%d" stats.domains;
-            Printf.sprintf "skew=%.2f/%.2fms" (busy_max stats) (busy_min stats);
-          ]
-      else base
-    end
-
-let span_of_stats stats =
-  let rec go ob =
-    let sp = Obs_span.make (Alg_plan.node_label ob.op_plan) in
-    Obs_span.set_int sp "rows" ob.op_rows;
-    Obs_span.set_int sp "morsels" ob.op_morsels;
-    Obs_span.set_duration_ms sp ob.op_ms;
-    List.iter (fun k -> Obs_span.add_child sp (go k)) ob.op_kids;
-    sp
-  in
-  go stats.root
-
-(* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -260,7 +157,7 @@ type counters = {
 
 type ctx = {
   cfg : config;
-  stats : stats;
+  stats : Alg_stats.t;
   counters : counters;
 }
 
@@ -276,13 +173,12 @@ let morsel_ranges morsel n =
 (* Run [m] tasks as one parallel region, folding per-domain busy time
    and morsel counts into the stats.  Metrics tick on the caller only —
    the registry is not thread-safe. *)
-let region ctx ob m task =
+let region ctx (ob : Alg_stats.op) m task =
   let busy = run_region ~domains:ctx.cfg.domains m task in
   let slots = min (Array.length busy) (Array.length ctx.stats.busy) in
   for i = 0 to slots - 1 do
     ctx.stats.busy.(i) <- ctx.stats.busy.(i) +. busy.(i)
   done;
-  ctx.stats.morsels <- ctx.stats.morsels + m;
   ob.op_morsels <- ob.op_morsels + m;
   Obs_metrics.inc ~by:m ctx.counters.c_morsels
 
@@ -393,7 +289,7 @@ let default_cost_rows plan =
   let est = Alg_cost.estimate ~source_rows:(fun _ -> Alg_cost.default_scan_rows) plan in
   est.Alg_cost.rows
 
-let rec eval ctx ob plan : Alg_env.t array =
+let rec eval ctx (ob : Alg_stats.op) plan : Alg_env.t array =
   ob.op_pulled <- true;
   let t0 = Obs_clock.wall_ms () in
   let out = eval_node ctx ob plan in
@@ -401,7 +297,7 @@ let rec eval ctx ob plan : Alg_env.t array =
   ob.op_rows <- Array.length out;
   out
 
-and eval_node ctx ob plan : Alg_env.t array =
+and eval_node ctx (ob : Alg_stats.op) plan : Alg_env.t array =
   let kid i = List.nth ob.op_kids i in
   let fallback () =
     Obs_metrics.inc ctx.counters.c_fallbacks;
@@ -570,10 +466,7 @@ and eval_node ctx ob plan : Alg_env.t array =
         | Some (Dtree.Atom _) -> ()
         | Some (Dtree.Node _ as tree) ->
           let matches, how = Alg_batch.navigate_matches tree path in
-          (match how with
-          | `Probe -> Atomic.incr ob.op_idx_probe
-          | `Guide -> Atomic.incr ob.op_idx_guide
-          | `Miss -> Atomic.incr ob.op_idx_miss);
+          Alg_stats.count_idx ob how;
           List.iter (fun m -> emit (Alg_env.bind env out m)) matches)
       (eval ctx (kid 0) input)
   | Alg_plan.Unnest { input; var; label; out } ->
@@ -607,13 +500,9 @@ and eval_node ctx ob plan : Alg_env.t array =
 
 let default_domains () = max 1 (Domain.recommended_domain_count ())
 
-let run ?domains ?(chunk = Alg_batch.default_chunk) ?(cost_rows = default_cost_rows)
-    ~sources ~fallback ~template plan =
-  let domains =
-    match domains with
-    | Some d -> max 1 (min (Pool.max_workers + 1) d)
-    | None -> default_domains ()
-  in
+let run ~domains ~chunk ?(cost_rows = default_cost_rows) ~sources ~fallback ~template
+    (stats : Alg_stats.t) plan =
+  let domains = max 1 (min (Pool.max_workers + 1) domains) in
   let cfg = { domains; morsel = max 1 chunk; sources; fallback; template; cost_rows } in
   let counters =
     {
@@ -624,11 +513,7 @@ let run ?domains ?(chunk = Alg_batch.default_chunk) ?(cost_rows = default_cost_r
     }
   in
   Obs_metrics.inc counters.c_runs;
-  let root = make_stats plan in
-  let stats =
-    { domains; chunk_size = cfg.morsel; busy = Array.make domains 0.0; morsels = 0; root }
-  in
-  let ctx = { cfg; stats; counters } in
-  let out = eval ctx root plan in
+  stats.busy <- Array.make domains 0.0;
+  let out = eval { cfg; stats; counters } stats.root plan in
   Obs_metrics.inc ~by:(Array.length out) counters.c_rows;
-  (Array.to_list out, stats)
+  Array.to_list out

@@ -25,9 +25,11 @@
     - sort runs a parallel stable merge sort over decorated keys where
       ties always take the earlier morsel.
 
-    Operators whose state is inherently order-entangled (nested-loop,
-    merge and dependent joins, distinct) fall back to the tuple engine,
-    on the caller.
+    Operators whose state is inherently order-entangled
+    ({!Alg_stats.falls_back}: nested-loop, merge and dependent joins,
+    distinct) fall back to the tuple engine, on the caller.  Morsel
+    counts, rows, time and per-domain busy time land in the shared
+    {!Alg_stats} tree.
 
     {b Thread discipline.}  Only pure row work runs on pool domains.
     Scans, the tuple-engine fallback and all {!Obs_metrics} ticks run
@@ -37,68 +39,28 @@
     order, so strict/partial source-failure semantics — including
     which sources are recorded as skipped — match the other engines. *)
 
-(** {1 Per-operator statistics} *)
-
-type op_par = {
-  op_plan : Alg_plan.t;
-  op_parallel : bool;  (** false: subtree ran on the tuple engine *)
-  mutable op_pulled : bool;
-  mutable op_morsels : int;  (** parallel tasks issued by this operator *)
-  mutable op_rows : int;
-  mutable op_ms : float;  (** inclusive of input operators *)
-  op_idx_probe : int Atomic.t;
-      (** Navigate bindings answered by a value probe (atomic: Navigate
-          expansion runs on worker domains) *)
-  op_idx_guide : int Atomic.t;  (** … answered by the structural guide *)
-  op_idx_miss : int Atomic.t;  (** … that fell back to the tree walker *)
-  op_kids : op_par list;
-}
-
-type stats = {
-  domains : int;
-  chunk_size : int;  (** the morsel size *)
-  busy : float array;  (** per-domain busy ms; slot 0 is the caller *)
-  mutable morsels : int;  (** total parallel tasks over the whole run *)
-  root : op_par;
-}
-
-val actual_of_stats : stats -> Alg_plan.t -> (int * float) option
-(** As {!Alg_exec.actual_of_stats}: (rows, inclusive ms) by physical
-    node identity, [None] for nodes never evaluated. *)
-
-val cells_of_stats : stats -> Alg_plan.t -> string list
-(** The parallel columns of EXPLAIN ANALYZE for one node:
-    [morsels=…] for parallel operators, [fallback=tuple] for fallback
-    roots; the plan root additionally reports [domains=…] and
-    [skew=MAX/MINms] — the busiest vs. idlest domain's busy time. *)
-
-val span_of_stats : stats -> Obs_span.t
-(** Statistics as a span tree, for the trace sink. *)
-
-val busy_max : stats -> float
-val busy_min : stats -> float
-
 (** {1 Running} *)
 
 val default_domains : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)
 
 val run :
-  ?domains:int ->
-  ?chunk:int ->
+  domains:int ->
+  chunk:int ->
   ?cost_rows:(Alg_plan.t -> float) ->
   sources:(string -> string -> Alg_env.t Seq.t) ->
   fallback:(Alg_plan.t -> Alg_env.t Seq.t) ->
   template:(Alg_env.t -> Alg_plan.template -> Dtree.t) ->
+  Alg_stats.t ->
   Alg_plan.t ->
-  Alg_env.t list * stats
-(** Evaluate the plan with [domains] workers (default
-    {!default_domains}, caller included, clamped to the pool limit)
-    over morsels of [chunk] rows (default {!Alg_batch.default_chunk}).
-    [sources]/[fallback]/[template] as in {!Alg_batch.run};
-    [cost_rows] estimates a subplan's output rows so per-partition
-    hash-join tables pre-size from real cardinalities (default: the
-    blind cost model over {!Alg_cost.default_scan_rows}); most
-    callers want {!Alg_exec.run_parallel}.  The domain pool is global
-    and reused across runs; it grows to the largest [domains] ever
+  Alg_env.t list
+(** Evaluate the plan with [domains] workers (caller included, clamped
+    to the pool limit) over morsels of [chunk] rows, filling the
+    statistics tree: per-operator morsels, rows and time, and the
+    per-domain busy times.  [sources]/[fallback]/[template] as in
+    {!Alg_batch.run}; [cost_rows] estimates a subplan's output rows so
+    per-partition hash-join tables pre-size from real cardinalities
+    (default: the blind cost model over {!Alg_cost.default_scan_rows}).
+    Callers want {!Alg_exec.exec}.  The domain pool is global and
+    reused across runs; it grows to the largest [domains] ever
     requested and is joined at exit. *)

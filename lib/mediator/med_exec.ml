@@ -109,34 +109,40 @@ let frag_key_path export path =
 let frag_key_scan export = "scan:" ^ export
 let frag_key_doc doc = "doc:" ^ doc
 
+(* Partial-mode degradation: once the retry budget for [fragment] is
+   spent, a stale extent beats losing the source's whole contribution.
+   Strict mode never degrades — the failure propagates. *)
+let stale_or_raise catalog ~source ~fragment e =
+  let retry = Med_catalog.retry catalog in
+  match
+    if Src_retry.stale_ok retry then
+      Frag_cache.get_stale (Med_catalog.frag_cache catalog) ~source ~fragment
+    else None
+  with
+  | Some r ->
+    Src_retry.note_stale retry ~source;
+    r
+  | None -> raise e
+
 (* One remote call through the fragment cache: a hit skips the wire
    (and the network simulator) entirely; only successful results are
-   cached, so rejections and outages keep their live semantics. *)
-let frag_fetch catalog (src : Source.t) ~fragment q =
+   cached, so rejections and outages keep their live semantics.  [call]
+   is the remote call itself, made under the retry engine. *)
+let frag_fetch catalog (src : Source.t) ~fragment call =
   let frag = Med_catalog.frag_cache catalog in
-  match Frag_cache.get frag ~source:src.Source.name ~fragment with
+  let source = src.Source.name in
+  match Frag_cache.get frag ~source ~fragment with
   | Some r -> r
   | None -> (
-    let retry = Med_catalog.retry catalog in
-    match
-      Src_retry.call retry ~source:src.Source.name (fun () -> src.Source.execute q)
-    with
+    match Src_retry.call (Med_catalog.retry catalog) ~source call with
     | r ->
-      Frag_cache.put frag ~source:src.Source.name ~fragment r;
+      Frag_cache.put frag ~source ~fragment r;
       r
-    | exception (Source.Unavailable _ as e) ->
-      (* Partial-mode degradation: once the retry budget is spent, a
-         stale extent beats losing the source's whole contribution.
-         Strict mode never degrades — the exception propagates. *)
-      (match
-         if Src_retry.stale_ok retry then
-           Frag_cache.get_stale frag ~source:src.Source.name ~fragment
-         else None
-       with
-      | Some r ->
-        Src_retry.note_stale retry ~source:src.Source.name;
-        r
-      | None -> raise e))
+    | exception (Source.Unavailable _ as e) -> stale_or_raise catalog ~source ~fragment e)
+
+(* [frag_fetch] of one query shipped to the source. *)
+let frag_query catalog (src : Source.t) ~fragment q =
+  frag_fetch catalog src ~fragment (fun () -> src.Source.execute q)
 
 (* SQL fragments key the exact-key cache by their canonical rendering
    (stable alias numbering, sorted conjuncts) rather than the shipped
@@ -163,7 +169,7 @@ let sem_plan catalog (src : Source.t) access =
           (Med_planner.access_key access)
       in
       let reship () =
-        frag_fetch catalog src ~fragment:(frag_key_sql select)
+        frag_query catalog src ~fragment:(frag_key_sql select)
           (Source.Q_sql sql_text)
       in
       Sem_rewrite.plan
@@ -200,39 +206,24 @@ let fetch_sql catalog (src : Source.t) access =
     (* Remainder queries key the exact cache by their own text; the
        original fragment keeps its canonical key. *)
     let key = if ship_sql = sql_text then frag_key_sql select else ship_sql in
-    finish (frag_fetch catalog src ~fragment:key (Source.Q_sql ship_sql))
-  | None -> frag_fetch catalog src ~fragment:(frag_key_sql select) (Source.Q_sql sql_text)
+    finish (frag_query catalog src ~fragment:key (Source.Q_sql ship_sql))
+  | None -> frag_query catalog src ~fragment:(frag_key_sql select) (Source.Q_sql sql_text)
 
 let frag_documents catalog (src : Source.t) doc =
-  let frag = Med_catalog.frag_cache catalog in
-  let fragment = frag_key_doc doc in
-  match Frag_cache.get frag ~source:src.Source.name ~fragment with
-  | Some (Source.R_trees trees) -> trees
-  | Some _ | None -> (
-    let retry = Med_catalog.retry catalog in
-    match
-      Src_retry.call retry ~source:src.Source.name (fun () -> src.Source.documents doc)
-    with
-    | trees ->
-      Frag_cache.put frag ~source:src.Source.name ~fragment (Source.R_trees trees);
-      trees
-    | exception (Source.Unavailable _ as e) ->
-      (match
-         if Src_retry.stale_ok retry then
-           Frag_cache.get_stale frag ~source:src.Source.name ~fragment
-         else None
-       with
-      | Some (Source.R_trees trees) ->
-        Src_retry.note_stale retry ~source:src.Source.name;
-        trees
-      | Some _ | None -> raise e))
+  match
+    frag_fetch catalog src ~fragment:(frag_key_doc doc) (fun () ->
+        Source.R_trees (src.Source.documents doc))
+  with
+  | Source.R_trees trees -> trees
+  | Source.R_rows _ | Source.R_batch _ ->
+    fail "unexpected non-document result from %s" src.Source.name
 
 (* The XML view of an export, shipping rows (not trees) for tabular
    sources and rebuilding the document client-side. *)
 let export_documents catalog (src : Source.t) export =
   match src.Source.kind with
   | Source.Relational | Source.Flat_file -> (
-    match frag_fetch catalog src ~fragment:(frag_key_scan export) (Source.Q_scan export) with
+    match frag_query catalog src ~fragment:(frag_key_scan export) (Source.Q_scan export) with
     | Source.R_rows (_, rows) -> [ Source.table_document export rows ]
     | Source.R_trees trees -> trees
     | Source.R_batch _ -> fail "unexpected batch result from %s" src.Source.name)
@@ -262,6 +253,51 @@ type prefetched = {
   pf_result : (Alg_env.t list, exn) Stdlib.result;
   pf_info : fetch_info;
 }
+
+type access_stat = {
+  stat_id : string;
+  stat_access : Med_planner.access;
+  stat_est_rows : float;
+  stat_calls : int;
+  stat_rows : int;
+  stat_ms : float;
+  stat_fetch : fetch_info option;
+  stat_sem : Sem_cache.outcome option;
+  stat_idx : int * int * int;
+  stat_retry : int * int * int;
+}
+
+(* The EXPLAIN ANALYZE sink: the engine fills the operator tree,
+   [source_fn_of] the per-access tallies (keyed by access id, seeded by
+   [run_analyzed]) and [prepare] the scatter-gather fetch info. *)
+type sink = {
+  ops : Alg_stats.t;
+  accesses : (string, access_stat) Hashtbl.t;
+}
+
+(* Tally one scan of access [aid] into the sink: calls, rows and wall
+   ms, plus the index-outcome and retry counter deltas around the fetch
+   (fetches run on the caller's domain, so the deltas are this access's
+   alone). *)
+let charge_access sink aid fetch =
+  let t0 = Obs_clock.wall_ms () in
+  let g0, p0, m0 = Idx_manager.counters () in
+  let r0, u0, f0 = Src_retry.counters () in
+  let envs = List.of_seq (fetch ()) in
+  let g1, p1, m1 = Idx_manager.counters () in
+  let r1, u1, f1 = Src_retry.counters () in
+  let st = Hashtbl.find sink.accesses aid in
+  let p, g, m = st.stat_idx and r, u, f = st.stat_retry in
+  Hashtbl.replace sink.accesses aid
+    {
+      st with
+      stat_calls = st.stat_calls + 1;
+      stat_rows = st.stat_rows + List.length envs;
+      stat_ms = st.stat_ms +. (Obs_clock.wall_ms () -. t0);
+      stat_idx = (p + p1 - p0, g + g1 - g0, m + m1 - m0);
+      stat_retry = (r + r1 - r0, u + u1 - u0, f + f1 - f0);
+    };
+  List.to_seq envs
 
 (* Execute one access; may recurse through the compiler for views. *)
 let rec run_access catalog ~opts ~view_lookup access : Alg_env.t list =
@@ -299,7 +335,7 @@ let rec run_access catalog ~opts ~view_lookup access : Alg_env.t list =
     let src = Src_registry.find_exn (Med_catalog.registry catalog) source_name in
     try
       match
-        frag_fetch catalog src ~fragment:(frag_key_path export path)
+        frag_query catalog src ~fragment:(frag_key_path export path)
           (Source.Q_path (export, path))
       with
       | Source.R_trees candidates ->
@@ -394,13 +430,16 @@ and run_sql_batch catalog ~opts ~view_lookup source_name members =
     Hashtbl.replace missing_envs key
       (try Ok (run_access catalog ~opts ~view_lookup access) with e -> Error e)
   in
-  let land_result (key, access, sql, ckey, ship_sql, finish) r =
-    (* Raw remainder results cache under their own text; an untouched
-       fragment caches under its canonical key as before. *)
-    let putkey = if ship_sql = sql then ckey else ship_sql in
-    Frag_cache.put frag ~source:source_name ~fragment:putkey r;
+  (* Raw remainder results cache under their own text; an untouched
+     fragment caches under its canonical key as before. *)
+  let ship_key (_, _, sql, ckey, ship_sql, _) = if ship_sql = sql then ckey else ship_sql in
+  let settle (key, access, _, _, _, finish) r =
     Hashtbl.replace missing_envs key
-      (try Ok (envs_of_sql_access access (finish r)) with e -> Error e)
+      (try Ok (envs_of_sql_access access (finish (r ()))) with e -> Error e)
+  in
+  let land_result m r =
+    Frag_cache.put frag ~source:source_name ~fragment:(ship_key m) r;
+    settle m (fun () -> r)
   in
   (match to_ship with
   | [] -> ()
@@ -420,9 +459,15 @@ and run_sql_batch catalog ~opts ~view_lookup source_name members =
       (* No batch capability at this source. *)
       Obs_metrics.inc batch_fallbacks;
       List.iter solo to_ship
+    | exception (Source.Unavailable _ as e) ->
+      (* The source is offline: every member shares the outcome, as one
+         call would have — each through its own stale extent, as a solo
+         fetch would, with no further call to the source. *)
+      List.iter
+        (fun m ->
+          settle m (fun () -> stale_or_raise catalog ~source:source_name ~fragment:(ship_key m) e))
+        to_ship
     | exception e ->
-      (* The whole round trip failed (e.g. the source is offline):
-         every member shares the outcome, as one call would have. *)
       List.iter
         (fun (key, _, _, _, _, _) -> Hashtbl.replace missing_envs key (Error e))
         to_ship));
@@ -640,7 +685,7 @@ and resolve_binds catalog ~opts ~view_lookup (compiled : Med_planner.compiled)
                 in
                 try
                   match
-                    frag_fetch catalog src
+                    frag_query catalog src
                       ~fragment:(frag_key_sql bound.Med_sqlgen.sql)
                       (Source.Q_sql bound.Med_sqlgen.sql_text)
                   with
@@ -670,7 +715,7 @@ and resolve_binds catalog ~opts ~view_lookup (compiled : Med_planner.compiled)
 (* Plan execution                                                      *)
 (* ------------------------------------------------------------------ *)
 
-and source_fn_of catalog ~opts ~view_lookup ?buffer (compiled : Med_planner.compiled) :
+and source_fn_of ?sink catalog ~opts ~view_lookup ?buffer (compiled : Med_planner.compiled) :
     Alg_exec.source_fn =
   let find_access aid =
     match List.assoc_opt aid compiled.Med_planner.accesses with
@@ -688,7 +733,7 @@ and source_fn_of catalog ~opts ~view_lookup ?buffer (compiled : Med_planner.comp
       (fun aid _binding ->
         List.to_seq (run_access catalog ~opts ~view_lookup (find_access aid)))
   in
-  fun access_id binding ->
+  let fetch access_id binding =
     let access = find_access access_id in
     let target = access_target access in
     Obs_trace.with_span "mediator.access" (fun span ->
@@ -731,69 +776,74 @@ and source_fn_of catalog ~opts ~view_lookup ?buffer (compiled : Med_planner.comp
           Obs_metrics.inc
             (Obs_metrics.counter (Printf.sprintf "source.%s.unavailable" target));
           raise (Alg_exec.Source_unavailable name))
+  in
+  match sink with
+  | None -> fetch
+  | Some sink ->
+    fun access_id binding -> charge_access sink access_id (fun () -> fetch access_id binding)
 
-(* Prefetch (under the catalog's fetch options), then hand back the
-   scan resolver and a per-access fetch-info lookup for reporting. *)
-and prepare catalog ~opts ~view_lookup compiled =
+(* Prefetch (under the catalog's fetch options) and resolve bind
+   joins, then hand back the scan resolver.  With a sink, each access's
+   tally records how it was fetched. *)
+and prepare ?sink catalog ~opts ~view_lookup compiled =
   let buffer = prefetch catalog ~opts ~view_lookup compiled in
   let buffer = resolve_binds catalog ~opts ~view_lookup compiled buffer in
-  let info access =
-    match buffer with
-    | None -> None
-    | Some b ->
-      Option.map
-        (fun p -> p.pf_info)
-        (Hashtbl.find_opt b (Med_planner.access_key access))
-  in
-  (source_fn_of catalog ~opts ~view_lookup ?buffer compiled, info)
+  (match sink, buffer with
+  | Some sink, Some b ->
+    Hashtbl.filter_map_inplace
+      (fun _ st ->
+        let p = Hashtbl.find_opt b (Med_planner.access_key st.stat_access) in
+        Some { st with stat_fetch = Option.map (fun p -> p.pf_info) p })
+      sink.accesses
+  | _ -> ());
+  source_fn_of ?sink catalog ~opts ~view_lookup ?buffer compiled
 
-and exec catalog ~opts ~partial ~view_lookup (compiled : Med_planner.compiled) =
-  (* The whole execution runs under one retry-budget context: nested
-     view executions inherit the enclosing query's deadline, and the
-     sources served stale (partial mode only) surface in the result. *)
+(* The one query driver: every run — strict or partial, any engine,
+   analyzed or not — goes through here.  The whole execution runs
+   under one retry-budget context: nested view executions inherit the
+   enclosing query's deadline, and the sources served stale (partial
+   mode only) surface in the result. *)
+and exec ?sink catalog ~opts ~partial ~view_lookup (compiled : Med_planner.compiled) =
   let (trees, envs, skipped), stale =
     Src_retry.with_query (Med_catalog.retry catalog) ~partial (fun () ->
-        exec_body catalog ~opts ~partial ~view_lookup compiled)
+        Obs_trace.with_span "query" (fun qspan ->
+            let sources = prepare ?sink catalog ~opts ~view_lookup compiled in
+            (* Feedback/statistics/index-backed cardinalities, so the
+               parallel engine pre-sizes its per-partition join tables
+               from real estimates instead of the blind scan default. *)
+            let cost_rows plan =
+              let src aid =
+                Med_planner.source_rows ~feedback:(Med_catalog.feedback catalog)
+                  ~stats:(Med_catalog.stats catalog) compiled aid
+              in
+              (Alg_cost.estimate ~source_rows:src plan).Alg_cost.rows
+            in
+            let envs, skipped =
+              Alg_exec.exec
+                ?stats:(Option.map (fun s -> s.ops) sink)
+                ~cost_rows ~partial (Med_catalog.exec_mode catalog) sources
+                compiled.Med_planner.plan
+            in
+            if skipped <> [] then begin
+              (* Partial-result degradation (section 3.4): the answer
+                 shipped, but not all sources contributed. *)
+              Obs_metrics.inc (Obs_metrics.counter "mediator.partial.degraded");
+              Obs_metrics.inc ~by:(List.length skipped)
+                (Obs_metrics.counter "mediator.partial.skipped_sources");
+              Obs_span.set qspan "skipped" (String.concat "," skipped)
+            end;
+            Obs_span.set_int qspan "rows" (List.length envs);
+            (* Instantiate the CONSTRUCT template per binding.  Correlated
+               subqueries re-enter through the direct resolver. *)
+            let resolver = direct_resolver catalog in
+            let trees =
+              List.concat_map
+                (fun env -> Xq_eval.instantiate resolver env compiled.Med_planner.construct)
+                envs
+            in
+            (trees, envs, skipped)))
   in
   { trees; bindings = envs; skipped_sources = skipped; stale_sources = stale }
-
-and exec_body catalog ~opts ~partial ~view_lookup (compiled : Med_planner.compiled) =
-  Obs_trace.with_span "query" (fun qspan ->
-      let sources, _fetch_info = prepare catalog ~opts ~view_lookup compiled in
-      let mode = Med_catalog.exec_mode catalog in
-      (* Feedback/statistics/index-backed cardinalities, so the parallel
-         engine pre-sizes its per-partition join tables from real
-         estimates instead of the blind scan default. *)
-      let cost_rows plan =
-        let src aid =
-          Med_planner.source_rows ~feedback:(Med_catalog.feedback catalog)
-            ~stats:(Med_catalog.stats catalog) compiled aid
-        in
-        (Alg_cost.estimate ~source_rows:src plan).Alg_cost.rows
-      in
-      let envs, skipped =
-        if partial then
-          Alg_exec.run_partial_mode ~cost_rows mode sources compiled.Med_planner.plan
-        else (Alg_exec.run_mode ~cost_rows mode sources compiled.Med_planner.plan, [])
-      in
-      if skipped <> [] then begin
-        (* Partial-result degradation (section 3.4): the answer shipped,
-           but not all sources contributed. *)
-        Obs_metrics.inc (Obs_metrics.counter "mediator.partial.degraded");
-        Obs_metrics.inc ~by:(List.length skipped)
-          (Obs_metrics.counter "mediator.partial.skipped_sources");
-        Obs_span.set qspan "skipped" (String.concat "," skipped)
-      end;
-      Obs_span.set_int qspan "rows" (List.length envs);
-      (* Instantiate the CONSTRUCT template per binding.  Correlated
-         subqueries re-enter through the direct resolver. *)
-      let resolver = direct_resolver catalog in
-      let trees =
-        List.concat_map
-          (fun env -> Xq_eval.instantiate resolver env compiled.Med_planner.construct)
-          envs
-      in
-      (trees, envs, skipped))
 
 let run_compiled ?(view_lookup = no_lookup) catalog compiled =
   exec catalog ~opts:Med_sqlgen.default_options ~partial:false ~view_lookup compiled
@@ -824,27 +874,11 @@ let explain_text catalog text =
 (* EXPLAIN ANALYZE                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type access_stat = {
-  stat_id : string;
-  stat_access : Med_planner.access;
-  stat_est_rows : float;
-  stat_calls : int;
-  stat_rows : int;
-  stat_ms : float;
-  stat_fetch : fetch_info option;
-  stat_sem : Sem_cache.outcome option;
-  stat_idx : int * int * int;
-  stat_retry : int * int * int;
-}
-
 type analysis = {
   analyzed_result : result;
   analyzed_compiled : Med_planner.compiled;
   analyzed_source_rows : string -> float;
-  analyzed_actual : Alg_plan.t -> (int * float) option;
-  analyzed_batch : Alg_plan.t -> string list;
-      (* batch-engine cells per node; [] everywhere in tuple mode *)
-  analyzed_mode : Alg_batch.mode;
+  analyzed_stats : Alg_stats.t;
   analyzed_accesses : access_stat list;
   analyzed_wall_ms : float;
   analyzed_virtual_ms : float;
@@ -857,159 +891,72 @@ let run_analyzed ?(opts = Med_sqlgen.default_options) ?(view_lookup = no_lookup)
   (* Snapshot the estimates BEFORE executing: the whole point of the
      report is comparing what the planner believed going in against what
      the run measured (the run itself updates the feedback store). *)
-  let est_snapshot =
-    List.map
-      (fun (aid, _) ->
-        ( aid,
-          Med_planner.source_rows ~feedback:fb
-            ~stats:(Med_catalog.stats catalog) compiled aid ))
-      compiled.Med_planner.accesses
-  in
-  let source_rows aid =
-    match List.assoc_opt aid est_snapshot with
-    | Some rows -> rows
-    | None -> Alg_cost.default_scan_rows
-  in
-  (* Wrap the source function to tally per-access calls / rows / time
-     (the per-source-fragment half of the report; the operator half comes
-     from the instrumented executor). *)
-  let tally :
-      ( string,
-        int ref * int ref * float ref * (int * int * int) ref * (int * int * int) ref )
-      Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let t0 = Obs_clock.wall_ms () in
-  let v0 = Obs_clock.virtual_ms () in
-  let analyze () =
-  let base, fetch_info = prepare catalog ~opts ~view_lookup compiled in
-  let sources aid binding =
-    let calls, rows, ms, idx, retry =
-      match Hashtbl.find_opt tally aid with
-      | Some cell -> cell
-      | None ->
-        let cell = (ref 0, ref 0, ref 0.0, ref (0, 0, 0), ref (0, 0, 0)) in
-        Hashtbl.add tally aid cell;
-        cell
-    in
-    let t0 = Obs_clock.wall_ms () in
-    (* Index-outcome deltas around the fetch attribute probe/guide/miss
-       counts to the access that triggered them (fetches run on the
-       caller's domain, so the deltas are this access's alone); retry
-       counter deltas attribute retries/give-ups/fast-fails the same
-       way. *)
-    let g0, p0, m0 = Idx_manager.counters () in
-    let r0, u0, f0 = Src_retry.counters () in
-    let envs = List.of_seq (base aid binding) in
-    let g1, p1, m1 = Idx_manager.counters () in
-    let r1, u1, f1 = Src_retry.counters () in
-    incr calls;
-    rows := !rows + List.length envs;
-    ms := !ms +. (Obs_clock.wall_ms () -. t0);
-    (let p, g, m = !idx in
-     idx := (p + p1 - p0, g + g1 - g0, m + m1 - m0));
-    (let r, u, f = !retry in
-     retry := (r + r1 - r0, u + u1 - u0, f + f1 - f0));
-    List.to_seq envs
-  in
-  let mode = Med_catalog.exec_mode catalog in
-  let envs, actual, batch_cells =
-    Obs_trace.with_span "query" (fun qspan ->
-        match mode with
-        | Alg_batch.Tuple ->
-          let envs, op_root =
-            Alg_exec.run_instrumented sources compiled.Med_planner.plan
-          in
-          Obs_span.set_int qspan "rows" (List.length envs);
-          (envs, Alg_exec.actual_of_stats op_root, Alg_exec.idx_cells_of_stats op_root)
-        | Alg_batch.Batch { chunk } ->
-          let envs, bstats =
-            Alg_exec.run_batched ~chunk sources compiled.Med_planner.plan
-          in
-          Obs_span.set_int qspan "rows" (List.length envs);
-          if Obs_trace.enabled () then
-            Obs_trace.emit (Alg_batch.span_of_stats bstats);
-          (envs, Alg_batch.actual_of_stats bstats, Alg_batch.cells_of_stats bstats)
-        | Alg_batch.Parallel { domains; chunk } ->
-          let cost_rows plan =
-            (Alg_cost.estimate ~source_rows plan).Alg_cost.rows
-          in
-          let envs, pstats =
-            Alg_exec.run_parallel ~domains ~chunk ~cost_rows sources
-              compiled.Med_planner.plan
-          in
-          Obs_span.set_int qspan "rows" (List.length envs);
-          if Obs_trace.enabled () then
-            Obs_trace.emit (Alg_par.span_of_stats pstats);
-          (envs, Alg_par.actual_of_stats pstats, Alg_par.cells_of_stats pstats))
-  in
-  (envs, actual, batch_cells, fetch_info)
-  in
-  (* Same retry-budget context as [exec]: the analyzed run is strict,
-     so no stale serving — but transient faults retry identically. *)
-  let (envs, actual, batch_cells, fetch_info), _stale =
-    Src_retry.with_query (Med_catalog.retry catalog) ~partial:false analyze
-  in
-  let wall_ms = Obs_clock.wall_ms () -. t0 in
-  let virtual_ms = Obs_clock.virtual_ms () -. v0 in
-  let resolver = direct_resolver catalog in
-  let trees =
-    List.concat_map
-      (fun env -> Xq_eval.instantiate resolver env compiled.Med_planner.construct)
-      envs
-  in
-  let accesses =
+  let blank =
     List.map
       (fun (aid, access) ->
-        let calls, rows, ms, idx, retry =
-          match Hashtbl.find_opt tally aid with
-          | Some (c, r, m, i, rt) -> (!c, !r, !m, !i, !rt)
-          | None -> (0, 0, 0.0, (0, 0, 0), (0, 0, 0))
-        in
         {
           stat_id = aid;
           stat_access = access;
-          stat_est_rows = source_rows aid;
-          stat_calls = calls;
-          stat_rows = rows;
-          stat_ms = ms;
-          stat_idx = idx;
-          stat_retry = retry;
-          stat_fetch = fetch_info access;
-          stat_sem =
-            (let sem = Med_catalog.sem_cache catalog in
-             match access with
-             | Med_planner.A_sql { fragment; _ } ->
-               Sem_cache.last_outcome sem ~sql:fragment.Med_sqlgen.sql_text
-             | Med_planner.A_sql_join { fragment; _ } ->
-               Sem_cache.last_outcome sem ~sql:fragment.Med_sqlgen.jf_sql_text
-             | _ -> None);
+          stat_est_rows =
+            Med_planner.source_rows ~feedback:fb ~stats:(Med_catalog.stats catalog)
+              compiled aid;
+          stat_calls = 0;
+          stat_rows = 0;
+          stat_ms = 0.0;
+          stat_fetch = None;
+          stat_sem = None;
+          stat_idx = (0, 0, 0);
+          stat_retry = (0, 0, 0);
         })
       compiled.Med_planner.accesses
   in
+  let source_rows aid =
+    match List.find_opt (fun st -> st.stat_id = aid) blank with
+    | Some st -> st.stat_est_rows
+    | None -> Alg_cost.default_scan_rows
+  in
+  let sink =
+    { ops = Alg_stats.create compiled.Med_planner.plan; accesses = Hashtbl.create 8 }
+  in
+  List.iter (fun st -> Hashtbl.replace sink.accesses st.stat_id st) blank;
+  let t0 = Obs_clock.wall_ms () in
+  let v0 = Obs_clock.virtual_ms () in
+  let result = exec ~sink catalog ~opts ~partial:false ~view_lookup compiled in
+  let wall_ms = Obs_clock.wall_ms () -. t0 in
+  let virtual_ms = Obs_clock.virtual_ms () -. v0 in
+  let sem = Med_catalog.sem_cache catalog in
+  let accesses =
+    List.map
+      (fun { stat_id; _ } ->
+        let st = Hashtbl.find sink.accesses stat_id in
+        let stat_sem =
+          match st.stat_access with
+          | Med_planner.A_sql { fragment; _ } ->
+            Sem_cache.last_outcome sem ~sql:fragment.Med_sqlgen.sql_text
+          | Med_planner.A_sql_join { fragment; _ } ->
+            Sem_cache.last_outcome sem ~sql:fragment.Med_sqlgen.jf_sql_text
+          | _ -> None
+        in
+        { st with stat_sem })
+      blank
+  in
   {
-    analyzed_result =
-      { trees; bindings = envs; skipped_sources = []; stale_sources = [] };
+    analyzed_result = result;
     analyzed_compiled = compiled;
     analyzed_source_rows = source_rows;
-    analyzed_actual = actual;
-    analyzed_batch = batch_cells;
-    analyzed_mode = Med_catalog.exec_mode catalog;
+    analyzed_stats = sink.ops;
     analyzed_accesses = accesses;
     analyzed_wall_ms = wall_ms;
     analyzed_virtual_ms = virtual_ms;
   }
 
-let run_analyzed_text ?opts ?view_lookup catalog text =
-  match Xq_parser.parse text with
-  | Ok q -> run_analyzed ?opts ?view_lookup catalog q
-  | Error m -> fail "%s" m
-
 let analysis_to_string a =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (Alg_cost.explain_analyze ~extra:a.analyzed_batch
-       ~source_rows:a.analyzed_source_rows ~actual:a.analyzed_actual
+    (Alg_cost.explain_analyze
+       ~extra:(Alg_stats.cells a.analyzed_stats)
+       ~source_rows:a.analyzed_source_rows
+       ~actual:(Alg_stats.actual a.analyzed_stats)
        a.analyzed_compiled.Med_planner.plan);
   (match a.analyzed_compiled.Med_planner.opt_info with
   | None -> ()
@@ -1059,7 +1006,7 @@ let analysis_to_string a =
       )
     a.analyzed_accesses;
   let exec_note =
-    match a.analyzed_mode with
+    match a.analyzed_stats.Alg_stats.engine with
     | Alg_batch.Tuple -> ""
     | Alg_batch.Batch { chunk } -> Printf.sprintf " [batch chunk=%d]" chunk
     | Alg_batch.Parallel { domains; chunk } ->

@@ -63,9 +63,12 @@ val explain_text : Med_catalog.t -> string -> string
 
 (** {1 EXPLAIN ANALYZE}
 
-    Instrumented execution: the query runs for real (strict mode),
-    counting rows and inclusive wall time per plan operator and per
-    source fragment, and recording observed cardinalities into the
+    Instrumented execution: the query runs for real (strict mode)
+    through the same driver as {!run_compiled}, with a stats sink
+    attached.  The engine fills the sink's per-operator tree (rows and
+    inclusive wall time, plus the engine's batch, morsel and index
+    counters) and the scan resolver its per-access tallies (calls, rows,
+    time, index and retry counts); observed cardinalities land in the
     catalog's feedback store for the next compilation. *)
 
 type fetch_info = {
@@ -103,13 +106,9 @@ type analysis = {
   analyzed_compiled : Med_planner.compiled;
   analyzed_source_rows : string -> float;
       (** the pre-run estimate snapshot, keyed by access id *)
-  analyzed_actual : Alg_plan.t -> (int * float) option;
-      (** per-operator (rows, inclusive ms), by physical node identity *)
-  analyzed_batch : Alg_plan.t -> string list;
-      (** the batch engine's per-operator cells (batches, rows/batch,
-          fill ratio); [[]] everywhere when the run was tuple-at-a-time *)
-  analyzed_mode : Alg_batch.mode;
-      (** the engine that executed the analyzed run *)
+  analyzed_stats : Alg_stats.t;
+      (** the per-operator tree the engine filled, by physical node
+          identity; its [engine] is the one that executed the run *)
   analyzed_accesses : access_stat list;
   analyzed_wall_ms : float;
   analyzed_virtual_ms : float;
@@ -124,15 +123,8 @@ val run_analyzed :
   analysis
 (** Compiles {e with} the catalog's feedback store (so a repeated query
     plans with observed cardinalities), snapshots the estimates, then
-    executes instrumented.  @raise Source.Unavailable as {!run}. *)
-
-val run_analyzed_text :
-  ?opts:Med_sqlgen.options ->
-  ?view_lookup:view_lookup ->
-  Med_catalog.t ->
-  string ->
-  analysis
-(** @raise Exec_error on syntax errors. *)
+    executes with a stats sink and builds the report from it.
+    @raise Source.Unavailable as {!run}. *)
 
 val analysis_to_string : analysis -> string
 (** The EXPLAIN ANALYZE report: the operator tree with estimated vs

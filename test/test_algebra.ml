@@ -268,7 +268,7 @@ let test_partial_results () =
      Alcotest.fail "expected Source_unavailable"
    with Alg_exec.Source_unavailable _ -> ());
   (* partial mode answers with annotation *)
-  let envs, skipped = Alg_exec.run_partial sources plan in
+  let envs, skipped = Alg_exec.exec ~partial:true Alg_batch.Tuple sources plan in
   check int_t "partial rows" 4 (List.length envs);
   check (Alcotest.list string_t) "skipped sources" [ "gone_source" ] skipped
 
@@ -349,9 +349,10 @@ let test_run_instrumented () =
   let open Alg_expr in
   let scan = open_scan "people" "p" in
   let plan = Alg_plan.Select (scan, child "p" "dept" =% ci 10) in
-  let envs, stats = Alg_exec.run_instrumented sources plan in
+  let stats = Alg_stats.create plan in
+  let envs, _ = Alg_exec.exec ~stats ~partial:false Alg_batch.Tuple sources plan in
   check int_t "same rows as run_list" (List.length (run plan)) (List.length envs);
-  let actual = Alg_exec.actual_of_stats stats in
+  let actual = Alg_stats.actual stats in
   (match actual plan with
   | Some (rows, ms) ->
     check int_t "select actual rows" 2 rows;
@@ -364,12 +365,13 @@ let test_run_instrumented () =
 let test_explain_analyze_output () =
   let scan = open_scan "people" "p" in
   let plan = Alg_plan.Limit (scan, 0) in
-  let envs, stats = Alg_exec.run_instrumented sources plan in
+  let stats = Alg_stats.create plan in
+  let envs, _ = Alg_exec.exec ~stats ~partial:false Alg_batch.Tuple sources plan in
   check int_t "limit 0 yields nothing" 0 (List.length envs);
   let report =
     Alg_cost.explain_analyze
       ~source_rows:(fun _ -> Alg_cost.default_scan_rows)
-      ~actual:(Alg_exec.actual_of_stats stats)
+      ~actual:(Alg_stats.actual stats)
       plan
   in
   check bool_t "limit line has actuals" true (contains "actual 0 rows" report);
@@ -379,7 +381,8 @@ let test_explain_analyze_output () =
 
 (* Property (observability contract): with the trace sink disabled, the
    instrumented executor returns byte-identical results to the plain one
-   on random plans, and records no spans. *)
+   on random plans — on every engine, the root's actual rows equal the
+   result length — and records no spans. *)
 let prop_instrumented_identical =
   QCheck2.Test.make ~name:"instrumented run = plain run (sink disabled)" ~count:60
     QCheck2.Gen.(triple (int_bound 15) (int_bound 15) (int_bound 20))
@@ -412,8 +415,25 @@ let prop_instrumented_identical =
           (Alg_plan.Select (join, Binop (Alg_expr.Le, child "l" "v", ci threshold)), 10)
       in
       let plain = List.map Alg_env.to_string (run plan) in
-      let instrumented, _ = Alg_exec.run_instrumented sources plan in
-      plain = List.map Alg_env.to_string instrumented
+      let engines =
+        [
+          Alg_batch.Tuple;
+          Alg_batch.Batch { chunk = 1 };
+          Alg_batch.Batch { chunk = 3 };
+          Alg_batch.Batch { chunk = 1024 };
+          Alg_batch.Parallel { domains = 2; chunk = 4 };
+        ]
+      in
+      List.for_all
+        (fun mode ->
+          let stats = Alg_stats.create plan in
+          let instrumented, _ = Alg_exec.exec ~stats ~partial:false mode sources plan in
+          plain = List.map Alg_env.to_string instrumented
+          &&
+          match Alg_stats.actual stats plan with
+          | Some (rows, _) -> rows = List.length instrumented
+          | None -> false)
+        engines
       && Obs_trace.roots () = [])
 
 (* Property: select pushdown through join preserves results. *)
@@ -477,7 +497,8 @@ let test_group_empty_input () =
     | None -> Alcotest.fail (label ^ ": expected collection binding")
   in
   check_engine "tuple" (run plan);
-  check_engine "batch" (fst (Alg_exec.run_batched ~chunk:4 sources plan))
+  check_engine "batch"
+    (fst (Alg_exec.exec ~partial:false (Alg_batch.Batch { chunk = 4 }) sources plan))
 
 (* Null group keys land in one deterministic group; group order is
    first-appearance order in both engines. *)
@@ -494,13 +515,16 @@ let test_group_null_keys () =
     List.map (fun e -> (Alg_env.value_of e "dept", Alg_env.value_of e "n")) envs
   in
   let tuple = snapshot (run plan) in
-  let batch = snapshot (fst (Alg_exec.run_batched ~chunk:3 sources plan)) in
+  let batch =
+    snapshot (fst (Alg_exec.exec ~partial:false (Alg_batch.Batch { chunk = 3 }) sources plan))
+  in
   check int_t "three groups (null keys grouped)" 3 (List.length tuple);
   check bool_t "first-appearance order" true
     (tuple = [ (Value.Int 10, Value.Int 2); (Value.Int 20, Value.Int 1); (Value.Null, Value.Int 1) ]);
   check bool_t "batch agrees" true (tuple = batch)
 
-let batch_run ?(chunk = 4) plan = fst (Alg_exec.run_batched ~chunk sources plan)
+let batch_run ?(chunk = 4) plan =
+  fst (Alg_exec.exec ~partial:false (Alg_batch.Batch { chunk }) sources plan)
 
 let test_batch_basic_equivalence () =
   let open Alg_expr in
@@ -533,17 +557,21 @@ let test_batch_stats_cells () =
   let open Alg_expr in
   let sel = Alg_plan.Select (open_scan "people" "p", Binop (Alg_expr.Le, child "p" "id", ci 3)) in
   let plan = Alg_plan.Project (sel, [ "p" ]) in
-  let envs, stats = Alg_exec.run_batched ~chunk:2 sources plan in
+  let stats = Alg_stats.create plan in
+  let envs, _ = Alg_exec.exec ~stats ~partial:false (Alg_batch.Batch { chunk = 2 }) sources plan in
   check int_t "fused rows" 3 (List.length envs);
   check bool_t "select reports fusion" true
-    (List.exists (contains "fused") (Alg_batch.cells_of_stats stats sel));
+    (List.exists (contains "fused") (Alg_stats.cells stats sel));
   check bool_t "project reports batches" true
-    (List.exists (contains "batches=") (Alg_batch.cells_of_stats stats plan));
+    (List.exists (contains "batches=") (Alg_stats.cells stats plan));
   let distinct = Alg_plan.Distinct (open_scan "people" "p") in
-  let envs, stats = Alg_exec.run_batched ~chunk:2 sources distinct in
+  let stats = Alg_stats.create distinct in
+  let envs, _ =
+    Alg_exec.exec ~stats ~partial:false (Alg_batch.Batch { chunk = 2 }) sources distinct
+  in
   check int_t "distinct rows" 4 (List.length envs);
   check bool_t "distinct reports fallback" true
-    (List.exists (contains "fallback") (Alg_batch.cells_of_stats stats distinct))
+    (List.exists (contains "fallback") (Alg_stats.cells stats distinct))
 
 let test_batch_strict_unavailable () =
   let plan = Alg_plan.Limit (Alg_plan.Sort (open_scan "gone_source" "p", []), 0) in
@@ -611,7 +639,10 @@ let prop_batch_equals_tuple =
             }
       in
       let tuple = List.map Alg_env.to_string (Alg_exec.run_list sources plan) in
-      let batch = List.map Alg_env.to_string (fst (Alg_exec.run_batched ~chunk sources plan)) in
+      let batch =
+        List.map Alg_env.to_string
+          (fst (Alg_exec.exec ~partial:false (Alg_batch.Batch { chunk }) sources plan))
+      in
       tuple = batch)
 
 (* Property: partial-results mode (section 3.4) agrees across engines —
@@ -628,9 +659,9 @@ let prop_batch_partial_equals_tuple =
               (open_scan "people" "p", Binop (Alg_expr.Le, child "p" "id", ci threshold)),
             Alg_plan.Union (open_scan "gone_source" "q", open_scan "depts" "d") )
       in
-      let t_envs, t_skip = Alg_exec.run_partial sources federation in
+      let t_envs, t_skip = Alg_exec.exec ~partial:true Alg_batch.Tuple sources federation in
       let b_envs, b_skip =
-        Alg_exec.run_partial_mode (Alg_batch.Batch { chunk }) sources federation
+        Alg_exec.exec ~partial:true (Alg_batch.Batch { chunk }) sources federation
       in
       List.map Alg_env.to_string t_envs = List.map Alg_env.to_string b_envs
       && List.sort compare t_skip = List.sort compare b_skip)
@@ -696,10 +727,13 @@ let prop_parallel_equals_batch =
             }
       in
       let tuple = List.map Alg_env.to_string (Alg_exec.run_list sources plan) in
-      let batch = List.map Alg_env.to_string (fst (Alg_exec.run_batched ~chunk sources plan)) in
+      let batch =
+        List.map Alg_env.to_string
+          (fst (Alg_exec.exec ~partial:false (Alg_batch.Batch { chunk }) sources plan))
+      in
       let par =
         List.map Alg_env.to_string
-          (Alg_exec.run_mode (Alg_batch.Parallel { domains; chunk }) sources plan)
+          (fst (Alg_exec.exec ~partial:false (Alg_batch.Parallel { domains; chunk }) sources plan))
       in
       tuple = batch && batch = par)
 
@@ -717,9 +751,9 @@ let prop_parallel_partial_equals_tuple =
               (open_scan "people" "p", Binop (Alg_expr.Le, child "p" "id", ci threshold)),
             Alg_plan.Union (open_scan "gone_source" "q", open_scan "depts" "d") )
       in
-      let t_envs, t_skip = Alg_exec.run_partial sources federation in
+      let t_envs, t_skip = Alg_exec.exec ~partial:true Alg_batch.Tuple sources federation in
       let p_envs, p_skip =
-        Alg_exec.run_partial_mode
+        Alg_exec.exec ~partial:true
           (Alg_batch.Parallel { domains; chunk = 8 })
           sources federation
       in
@@ -759,7 +793,8 @@ let test_sort_stability () =
     (fun domains ->
       assert_stable
         (Printf.sprintf "parallel(domains=%d)" domains)
-        (Alg_exec.run_mode (Alg_batch.Parallel { domains; chunk = 4 }) sources plan))
+        (fst
+           (Alg_exec.exec ~partial:false (Alg_batch.Parallel { domains; chunk = 4 }) sources plan)))
     [ 1; 2; 4 ]
 
 (* Property: the three join algorithms agree on random data. *)

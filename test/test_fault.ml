@@ -259,30 +259,53 @@ let test_midstream_transient_recovers_complete () =
 (* Stale serving (partial-mode degradation)                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Two SQL fragments on the one source (join pushdown off): gather
+   fetching ships them as one batched round trip, whose failure must
+   still fall back to each member's own stale extent. *)
+let two_fragment_query =
+  q
+    {|WHERE <row><name>$n</name><tier>$t</tier></row> IN "crm.customers", $t = 2,
+            <row><name>$m</name><tier>$u</tier></row> IN "crm.customers", $u = 1
+      CONSTRUCT <c>$n</c>|}
+
 let test_stale_serving () =
-  Obs_clock.reset_virtual ();
-  let cat =
-    catalog ~frag_capacity:8 ~frag_ttl_ms:50.0
-      ~faults:[ Net_sim.offline_window ~from_ms:30.0 ~until_ms:infinity ]
-      ()
-  in
-  let compiled = Med_exec.compile cat query in
-  let fresh = render (Med_exec.run_compiled cat compiled) in
-  Obs_clock.advance 100.0;
-  (* TTL expired and the source is now gone for good.  Strict mode and
-     a stale-off policy both lose the source. *)
-  expect_unavailable "strict never serves stale" (fun () ->
-      Med_exec.run_compiled cat compiled);
-  let r_off = Med_exec.run_compiled_partial cat compiled in
-  check Alcotest.(list string_t) "stale off: source skipped" [ "crm" ]
-    r_off.Med_exec.skipped_sources;
-  (* Stale serving on: the expired extent answers, flagged in the
-     envelope, and the source is not reported skipped. *)
-  Med_catalog.set_retry_policy cat (pol ~stale:true ());
-  let r = Med_exec.run_compiled_partial cat compiled in
-  check Alcotest.(list string_t) "served stale" [ "crm" ] r.Med_exec.stale_sources;
-  check Alcotest.(list string_t) "not skipped" [] r.Med_exec.skipped_sources;
-  check Alcotest.(list string_t) "stale answer equals the cached one" fresh (render r)
+  List.iter
+    (fun (fetch, (qlabel, query, opts)) ->
+      let label =
+        Printf.sprintf "%s, %s: " (Fetch_sched.mode_to_string fetch.Fetch_sched.mode) qlabel
+      in
+      Obs_clock.reset_virtual ();
+      let cat =
+        catalog ~frag_capacity:8 ~frag_ttl_ms:50.0
+          ~faults:[ Net_sim.offline_window ~from_ms:30.0 ~until_ms:infinity ]
+          ()
+      in
+      Med_catalog.set_fetch_options cat fetch;
+      let compiled = Med_exec.compile ~opts cat query in
+      let fresh = render (Med_exec.run_compiled cat compiled) in
+      Obs_clock.advance 100.0;
+      (* TTL expired and the source is now gone for good.  Strict mode
+         and a stale-off policy both lose the source. *)
+      expect_unavailable (label ^ "strict never serves stale") (fun () ->
+          Med_exec.run_compiled cat compiled);
+      let r_off = Med_exec.run_compiled_partial cat compiled in
+      check Alcotest.(list string_t) (label ^ "stale off: source skipped") [ "crm" ]
+        r_off.Med_exec.skipped_sources;
+      (* Stale serving on: the expired extent answers, flagged in the
+         envelope, and the source is not reported skipped. *)
+      Med_catalog.set_retry_policy cat (pol ~stale:true ());
+      let r = Med_exec.run_compiled_partial cat compiled in
+      check Alcotest.(list string_t) (label ^ "served stale") [ "crm" ] r.Med_exec.stale_sources;
+      check Alcotest.(list string_t) (label ^ "not skipped") [] r.Med_exec.skipped_sources;
+      check Alcotest.(list string_t) (label ^ "stale answer equals the cached one") fresh
+        (render r))
+    (List.concat_map
+       (fun fetch ->
+         [
+           (fetch, ("one fragment", query, Med_sqlgen.default_options));
+           (fetch, ("two fragments", two_fragment_query, Med_sqlgen.no_join_pushdown));
+         ])
+       [ Fetch_sched.default_options; Fetch_sched.gather_options () ])
 
 (* ------------------------------------------------------------------ *)
 (* Partial mode: skipped = exactly the budget-exhausted sources        *)

@@ -194,14 +194,29 @@ let test_run_analyzed_feedback () =
   check bool_t "report shows actuals" true (contains report "actual 3 rows");
   check bool_t "report shows the access" true (contains report "SQL @crm")
 
+(* On every engine: the report's shape, and analyzed answers equal to
+   the plain driver's. *)
 let test_analysis_report_shape () =
-  let cat = make_catalog () in
-  let a = Med_exec.run_analyzed cat feedback_query in
-  let report = Med_exec.analysis_to_string a in
-  check bool_t "has operator estimates" true (contains report "(est ");
-  check bool_t "has access table" true (contains report "accesses:");
-  check bool_t "has per-access cells" true (contains report "calls=1 rows=3");
-  check bool_t "has total footer" true (contains report "-- 3 rows in")
+  List.iter
+    (fun mode ->
+      let cat = make_catalog () in
+      Med_catalog.set_exec_mode cat mode;
+      let label = Alg_batch.mode_to_string mode ^ ": " in
+      let a = Med_exec.run_analyzed cat feedback_query in
+      let report = Med_exec.analysis_to_string a in
+      check bool_t (label ^ "has operator estimates") true (contains report "(est ");
+      check bool_t (label ^ "has access table") true (contains report "accesses:");
+      check bool_t (label ^ "has per-access cells") true (contains report "calls=1 rows=3");
+      check bool_t (label ^ "has total footer") true (contains report "-- 3 rows in");
+      let plain = Med_exec.run_compiled cat (Med_exec.compile cat feedback_query) in
+      check (Alcotest.list string_t) (label ^ "analyzed trees = run_compiled trees")
+        (List.map Dtree.to_string plain.Med_exec.trees)
+        (List.map Dtree.to_string a.Med_exec.analyzed_result.Med_exec.trees))
+    [
+      Alg_batch.Tuple;
+      Alg_batch.Batch { chunk = 2 };
+      Alg_batch.Parallel { domains = 2; chunk = 2 };
+    ]
 
 let () =
   Alcotest.run "obs"
