@@ -478,16 +478,14 @@ and compile_node cfg counters (ob : Alg_stats.op) plan : cursor =
     let rkeys = Array.map rkey rights in
     let nonnull = ref 0 in
     Array.iter (fun k -> if k <> Value.Null then incr nonnull) rkeys;
-    let table : (Value.t, Alg_env.t list ref) Hashtbl.t =
-      Hashtbl.create (max 16 !nonnull)
-    in
+    let table : Alg_env.t list ref Value.Tbl.t = Value.Tbl.create (max 16 !nonnull) in
     for i = n - 1 downto 0 do
       match rkeys.(i) with
       | Value.Null -> ()
       | k -> (
-        match Hashtbl.find_opt table k with
+        match Value.Tbl.find_opt table k with
         | Some bucket -> bucket := rights.(i) :: !bucket
-        | None -> Hashtbl.add table k (ref [ rights.(i) ]))
+        | None -> Value.Tbl.add table k (ref [ rights.(i) ]))
     done;
     let lkey = compile_value left_key in
     let keep = Option.map compile_pred residual in
@@ -501,7 +499,7 @@ and compile_node cfg counters (ob : Alg_stats.op) plan : cursor =
               match lkey lenv with
               | Value.Null -> ()
               | k -> (
-                match Hashtbl.find_opt table k with
+                match Value.Tbl.find_opt table k with
                 | None -> ()
                 | Some bucket ->
                   List.iter

@@ -94,15 +94,15 @@ let rec run_hooked ?(on_idx = fun _ _ -> ()) hook sources plan : Alg_env.t Seq.t
              rights))
       (run sources left)
   | Alg_plan.Hash_join { left; right; left_key; right_key; residual } ->
-    let table : (Value.t, Alg_env.t) Hashtbl.t = Hashtbl.create (table_size right) in
+    let table : Alg_env.t Value.Tbl.t = Value.Tbl.create (table_size right) in
     let rights = List.of_seq (run sources right) in
-    (* Hashtbl.add in reverse input order: find_all returns most recent
-       first, so probes see build rows in their original order. *)
+    (* Add in reverse input order: find_all returns most recent first, so
+       probes see build rows in their original order. *)
     List.iter
       (fun renv ->
         match Alg_expr.eval renv right_key with
         | Value.Null -> ()
-        | k -> Hashtbl.add table k renv)
+        | k -> Value.Tbl.add table k renv)
       (List.rev rights);
     Seq.concat_map
       (fun lenv ->
@@ -110,7 +110,7 @@ let rec run_hooked ?(on_idx = fun _ _ -> ()) hook sources plan : Alg_env.t Seq.t
         | Value.Null -> Seq.empty
         | k ->
           seq_of_list
-            (Hashtbl.find_all table k
+            (Value.Tbl.find_all table k
             |> List.filter_map (fun renv ->
                    let joined = Alg_env.concat lenv renv in
                    match residual with

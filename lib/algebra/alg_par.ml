@@ -348,7 +348,7 @@ and eval_node ctx (ob : Alg_stats.op) plan : Alg_env.t array =
           rkeys.(j) <- rkey rights.(j)
         done);
     let parts = partitions ctx in
-    let part_of k = Hashtbl.hash k mod parts in
+    let part_of k = Value.hash k mod parts in
     (* Pre-size each partition from the cost model's build-side
        estimate, as the sequential engines do for the whole table. *)
     let hint =
@@ -356,8 +356,8 @@ and eval_node ctx (ob : Alg_stats.op) plan : Alg_env.t array =
         (Float.min 1_048_576.0
            (Float.max 16.0 (ctx.cfg.cost_rows right /. float_of_int parts)))
     in
-    let tables : (Value.t, Alg_env.t list ref) Hashtbl.t array =
-      Array.init parts (fun _ -> Hashtbl.create hint)
+    let tables : Alg_env.t list ref Value.Tbl.t array =
+      Array.init parts (fun _ -> Value.Tbl.create hint)
     in
     region ctx ob parts (fun p ->
         let table = tables.(p) in
@@ -366,9 +366,9 @@ and eval_node ctx (ob : Alg_stats.op) plan : Alg_env.t array =
           | Value.Null -> ()
           | k ->
             if part_of k = p then (
-              match Hashtbl.find_opt table k with
+              match Value.Tbl.find_opt table k with
               | Some bucket -> bucket := rights.(j) :: !bucket
-              | None -> Hashtbl.add table k (ref [ rights.(j) ]))
+              | None -> Value.Tbl.add table k (ref [ rights.(j) ]))
         done);
     let lkey = Alg_batch.compile_value left_key in
     let keep = Option.map Alg_batch.compile_pred residual in
@@ -377,7 +377,7 @@ and eval_node ctx (ob : Alg_stats.op) plan : Alg_env.t array =
         match lkey lenv with
         | Value.Null -> ()
         | k -> (
-          match Hashtbl.find_opt tables.(part_of k) k with
+          match Value.Tbl.find_opt tables.(part_of k) k with
           | None -> ()
           | Some bucket ->
             List.iter

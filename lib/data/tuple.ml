@@ -14,6 +14,23 @@ let make bindings =
   done;
   arr
 
+type header = string array
+
+let header names =
+  let h = Array.of_list names in
+  Array.iteri
+    (fun i name ->
+      for j = i + 1 to Array.length h - 1 do
+        if String.equal name h.(j) then
+          invalid_arg (Printf.sprintf "Tuple.header: duplicate field %S" name)
+      done)
+    h;
+  h
+
+let of_row h row =
+  if Array.length row <> Array.length h then invalid_arg "Tuple.of_row: arity mismatch";
+  Array.mapi (fun i v -> (h.(i), v)) row
+
 let fields t = Array.to_list t
 let field_names t = Array.to_list (Array.map fst t)
 let values t = Array.to_list (Array.map snd t)

@@ -14,6 +14,17 @@ val make : (string * Value.t) list -> t
 (** Field order is preserved.
     @raise Invalid_argument on duplicate field names. *)
 
+type header
+(** Field names shared by many tuples, checked for duplicates once. *)
+
+val header : string list -> header
+(** @raise Invalid_argument on duplicate field names. *)
+
+val of_row : header -> Value.t array -> t
+(** Name a positional row: the [i]-th value gets the [i]-th name.  No
+    per-row duplicate check (the header was checked).
+    @raise Invalid_argument when the arity differs from the header. *)
+
 val fields : t -> (string * Value.t) list
 val field_names : t -> string list
 val values : t -> Value.t list

@@ -225,3 +225,10 @@ let hash = function
   | Float f -> Hashtbl.hash f
   | String s -> Hashtbl.hash s
   | Date d -> Hashtbl.hash (date_to_days d) lxor 0x5bd1
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

@@ -90,6 +90,11 @@ val hash : t -> int
 (** Hash compatible with {!equal} (numeric Int/Float that are equal hash
     alike). *)
 
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by {!equal}: [Int 1] and [Float 1.0] are one key.
+    Every join and index keyed on values uses this table, so a hash
+    path finds exactly the keys a comparison would. *)
+
 val date_to_days : date -> int
 (** Days since 1970-01-01 (civil-calendar conversion); usable for date
     arithmetic and comparisons. *)

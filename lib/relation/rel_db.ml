@@ -98,30 +98,23 @@ let run_insert db tname cols rows =
 
 let run_update db tname assigns where =
   let tbl = table_exn db tname in
-  let pred tup = match where with None -> true | Some w -> Sql_eval.eval_pred tup w in
-  let apply tup =
-    List.fold_left
-      (fun acc (cname, e) -> Tuple.set acc cname (Sql_eval.eval tup e))
-      tup assigns
-  in
-  try Affected (Rel_table.update_where tbl pred apply)
+  try
+    let pred = Sql_plan.bind_where tbl where and apply = Sql_plan.bind_set tbl assigns in
+    Affected (Rel_table.update_rows tbl pred apply)
   with
   | Rel_table.Constraint_violation m -> fail "%s" m
   | Sql_eval.Eval_error m -> fail "%s" m
 
 let run_delete db tname where =
   let tbl = table_exn db tname in
-  let pred tup = match where with None -> true | Some w -> Sql_eval.eval_pred tup w in
-  try Affected (Rel_table.delete_where tbl pred)
+  try Affected (Rel_table.delete_rows tbl (Sql_plan.bind_where tbl where))
   with Sql_eval.Eval_error m -> fail "%s" m
 
 let run_select db select =
   try
-    let names = Sql_exec.output_names (catalog db) select in
-    let rows = Sql_exec.run_select (catalog db) select in
+    let names, rows = Sql_exec.run_select (catalog db) select in
     Rows (names, rows)
   with
-  | Sql_exec.Exec_error m -> fail "%s" m
   | Sql_eval.Eval_error m -> fail "%s" m
   | Sql_plan.Plan_error m -> fail "%s" m
 

@@ -2,7 +2,7 @@ type index_kind = Btree_index | Hash_index
 
 type index_impl =
   | Ibtree of (Value.t, int) Rel_btree.t
-  | Ihash of (Value.t, int list) Hashtbl.t
+  | Ihash of int list Value.Tbl.t
 
 type index = {
   idx_column : string;
@@ -13,6 +13,7 @@ type index = {
 type t = {
   tbl_schema : Dschema.relational;
   tbl_primary_key : string option;
+  tbl_header : Tuple.header;
   pk_pos : int;  (* -1 when none *)
   mutable slots : Value.t array option array;
   mutable next_slot : int;
@@ -42,6 +43,7 @@ let create ?primary_key schema =
   {
     tbl_schema = schema;
     tbl_primary_key = primary_key;
+    tbl_header = Tuple.header (List.map (fun c -> c.Dschema.col_name) schema.Dschema.columns);
     pk_pos;
     slots = Array.make 16 None;
     next_slot = 0;
@@ -54,9 +56,7 @@ let name t = t.tbl_schema.Dschema.rel_name
 let row_count t = t.live
 let primary_key t = t.tbl_primary_key
 
-let row_to_tuple t row =
-  Tuple.make
-    (List.mapi (fun i c -> (c.Dschema.col_name, row.(i))) t.tbl_schema.Dschema.columns)
+let row_to_tuple t row = Tuple.of_row t.tbl_header row
 
 let tuple_to_row t tup =
   match Dschema.coerce_tuple t.tbl_schema tup with
@@ -78,19 +78,19 @@ let index_add idx v rowid =
   match idx.impl with
   | Ibtree bt -> Rel_btree.insert bt v rowid
   | Ihash h ->
-    let existing = Option.value ~default:[] (Hashtbl.find_opt h v) in
-    Hashtbl.replace h v (rowid :: existing)
+    let existing = Option.value ~default:[] (Value.Tbl.find_opt h v) in
+    Value.Tbl.replace h v (rowid :: existing)
 
 let index_remove idx v rowid =
   match idx.impl with
   | Ibtree bt -> ignore (Rel_btree.remove bt v rowid)
   | Ihash h -> (
-    match Hashtbl.find_opt h v with
+    match Value.Tbl.find_opt h v with
     | None -> ()
     | Some ids -> (
       match List.filter (fun id -> id <> rowid) ids with
-      | [] -> Hashtbl.remove h v
-      | ids' -> Hashtbl.replace h v ids'))
+      | [] -> Value.Tbl.remove h v
+      | ids' -> Value.Tbl.replace h v ids'))
 
 let pk_conflict t row =
   t.pk_pos >= 0
@@ -105,7 +105,7 @@ let pk_conflict t row =
   | Some idx -> (
     match idx.impl with
     | Ibtree bt -> found := Rel_btree.find_all bt key <> []
-    | Ihash h -> found := Hashtbl.mem h key)
+    | Ihash h -> found := Value.Tbl.mem h key)
   | None ->
     for i = 0 to t.next_slot - 1 do
       match t.slots.(i) with
@@ -140,9 +140,12 @@ let insert_values t values =
   let tup = Tuple.make (List.map2 (fun c v -> (c.Dschema.col_name, v)) cols values) in
   insert t tup
 
-let get t id =
-  if id < 0 || id >= t.next_slot then None
-  else Option.map (row_to_tuple t) t.slots.(id)
+let iter_rows t f =
+  for i = 0 to t.next_slot - 1 do
+    match t.slots.(i) with
+    | Some row -> f row
+    | None -> ()
+  done
 
 let scan t f =
   for i = 0 to t.next_slot - 1 do
@@ -153,7 +156,7 @@ let scan t f =
 
 let to_list t =
   let out = ref [] in
-  scan t (fun _ tup -> out := tup :: !out);
+  iter_rows t (fun row -> out := row_to_tuple t row :: !out);
   List.rev !out
 
 let delete_slot t id =
@@ -164,23 +167,27 @@ let delete_slot t id =
     t.slots.(id) <- None;
     t.live <- t.live - 1
 
-let delete_where t pred =
+let delete_rows t pred =
   let deleted = ref 0 in
   for i = 0 to t.next_slot - 1 do
     match t.slots.(i) with
-    | Some row when pred (row_to_tuple t row) ->
+    | Some row when pred row ->
       delete_slot t i;
       incr deleted
     | Some _ | None -> ()
   done;
   !deleted
 
-let update_where t pred f =
+let delete_where t pred = delete_rows t (fun row -> pred (row_to_tuple t row))
+
+(* Stored rows are shared with readers (scans hand them out), so an
+   update installs a fresh array and never writes into the old one. *)
+let update_slots t pred new_row =
   let updated = ref 0 in
   for i = 0 to t.next_slot - 1 do
     match t.slots.(i) with
-    | Some row when pred (row_to_tuple t row) ->
-      let new_row = tuple_to_row t (f (row_to_tuple t row)) in
+    | Some row when pred row ->
+      let new_row = new_row row in
       List.iter
         (fun idx ->
           if not (Value.equal row.(idx.idx_pos) new_row.(idx.idx_pos)) then begin
@@ -194,6 +201,13 @@ let update_where t pred f =
   done;
   !updated
 
+let update_rows t pred f = update_slots t pred (fun row -> tuple_to_row t (row_to_tuple t (f row)))
+
+let update_where t pred f =
+  update_slots t
+    (fun row -> pred (row_to_tuple t row))
+    (fun row -> tuple_to_row t (f (row_to_tuple t row)))
+
 let clear t =
   t.slots <- Array.make 16 None;
   t.next_slot <- 0;
@@ -202,7 +216,7 @@ let clear t =
     (fun idx ->
       match idx.impl with
       | Ibtree _ -> ()
-      | Ihash h -> Hashtbl.reset h)
+      | Ihash h -> Value.Tbl.reset h)
     t.indexes;
   (* Rebuild btree indexes from scratch (they have no clear). *)
   t.indexes <-
@@ -222,7 +236,7 @@ let create_index t ~kind cname =
   let impl =
     match kind with
     | Btree_index -> Ibtree (Rel_btree.create ~cmp:Value.compare ())
-    | Hash_index -> Ihash (Hashtbl.create 64)
+    | Hash_index -> Ihash (Value.Tbl.create 64)
   in
   let idx = { idx_column = cname; idx_pos = pos; impl } in
   (* Backfill. *)
@@ -242,45 +256,52 @@ let has_index t cname =
     (find_index t cname)
 
 let rows_of_ids t ids =
-  List.filter_map (fun id -> get t id) ids
+  List.filter_map (fun id -> if id < 0 || id >= t.next_slot then None else t.slots.(id)) ids
 
-let lookup_eq t cname v =
+let scan_column t cname keep =
+  let pos = column_pos t.tbl_schema cname in
+  let out = ref [] in
+  if pos >= 0 then iter_rows t (fun row -> if keep row.(pos) then out := row :: !out);
+  List.rev !out
+
+let lookup_eq_rows t cname v =
   match find_index t cname with
   | Some { impl = Ibtree bt; _ } -> rows_of_ids t (Rel_btree.find_all bt v)
   | Some { impl = Ihash h; _ } ->
-    rows_of_ids t (List.rev (Option.value ~default:[] (Hashtbl.find_opt h v)))
-  | None ->
-    let out = ref [] in
-    scan t (fun _ tup ->
-        match Tuple.get tup cname with
-        | Some v' when Value.equal v v' -> out := tup :: !out
-        | Some _ | None -> ());
-    List.rev !out
+    rows_of_ids t (List.rev (Option.value ~default:[] (Value.Tbl.find_opt h v)))
+  | None -> scan_column t cname (Value.equal v)
 
-let lookup_range t cname ?lo ?hi () =
-  let in_bounds v =
-    (match lo with
-    | None -> true
-    | Some (b, inclusive) ->
-      let c = Value.compare v b in
-      if inclusive then c >= 0 else c > 0)
-    &&
-    match hi with
-    | None -> true
-    | Some (b, inclusive) ->
-      let c = Value.compare v b in
-      if inclusive then c <= 0 else c < 0
-  in
+let lookup_range_rows t cname ?lo ?hi () =
   match find_index t cname with
   | Some { impl = Ibtree bt; _ } ->
+    (* NULL sorts below every key: an exclusive NULL lower bound keeps
+       NULL keys out, as the scan below does. *)
+    let lo =
+      match lo with
+      | None | Some (Value.Null, _) -> Some (Value.Null, false)
+      | Some _ -> lo
+    in
     rows_of_ids t (List.map snd (Rel_btree.range bt ?lo ?hi ()))
   | Some { impl = Ihash _; _ } | None ->
-    let out = ref [] in
-    scan t (fun _ tup ->
-        match Tuple.get tup cname with
-        | Some v when v <> Value.Null && in_bounds v -> out := tup :: !out
-        | Some _ | None -> ());
-    List.rev !out
+    let in_bounds v =
+      (match lo with
+      | None -> true
+      | Some (b, inclusive) ->
+        let c = Value.compare v b in
+        if inclusive then c >= 0 else c > 0)
+      &&
+      match hi with
+      | None -> true
+      | Some (b, inclusive) ->
+        let c = Value.compare v b in
+        if inclusive then c <= 0 else c < 0
+    in
+    scan_column t cname (fun v -> v <> Value.Null && in_bounds v)
+
+let lookup_eq t cname v = List.map (row_to_tuple t) (lookup_eq_rows t cname v)
+
+let lookup_range t cname ?lo ?hi () =
+  List.map (row_to_tuple t) (lookup_range_rows t cname ?lo ?hi ())
 
 let index_served t cname mode =
   match find_index t cname, mode with

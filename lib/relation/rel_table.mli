@@ -3,7 +3,13 @@
     Rows are stored positionally against the table schema in a growable
     slot array; deletions tombstone the slot.  Secondary indexes (B+tree
     or hash) map column values to row ids and are maintained on every
-    mutation. *)
+    mutation.  Hash indexes key on {!Value.Tbl}, so [Int 1] and
+    [Float 1.0] are one key, as they are for [=].
+
+    The [_rows] functions hand out the stored [Value.t array] rows
+    themselves, slot [i] holding the [i]-th schema column: the SQL
+    executor reads them without copying and must not write into them.
+    The tuple functions name each row through one per-table header. *)
 
 type t
 
@@ -33,21 +39,28 @@ val insert_values : t -> Value.t list -> int
 val delete_where : t -> (Tuple.t -> bool) -> int
 (** Delete all rows satisfying the predicate; returns how many. *)
 
+val delete_rows : t -> (Value.t array -> bool) -> int
+(** {!delete_where} over positional rows. *)
+
 val update_where : t -> (Tuple.t -> bool) -> (Tuple.t -> Tuple.t) -> int
 (** Update matching rows through the function (result is re-coerced);
     returns how many. *)
+
+val update_rows : t -> (Value.t array -> bool) -> (Value.t array -> Value.t array) -> int
+(** {!update_where} over positional rows.  The function must not write
+    into the row it is given (readers may share it). *)
 
 val clear : t -> unit
 
 (** {1 Access} *)
 
-val get : t -> int -> Tuple.t option
-(** Fetch by row id; [None] for deleted or out-of-range ids. *)
-
 val scan : t -> (int -> Tuple.t -> unit) -> unit
 (** Iterate live rows in insertion order. *)
 
 val to_list : t -> Tuple.t list
+
+val iter_rows : t -> (Value.t array -> unit) -> unit
+(** Iterate the stored rows of live slots in insertion order. *)
 
 (** {1 Indexes} *)
 
@@ -63,7 +76,13 @@ val lookup_eq : t -> string -> Value.t -> Tuple.t list
 val lookup_range :
   t -> string -> ?lo:Value.t * bool -> ?hi:Value.t * bool -> unit -> Tuple.t list
 (** Range lookup; uses a B+tree index when available, else a scan with
-    filtering.  Results are in key order when served by the index. *)
+    filtering.  Results are in key order when served by the index.
+    Rows whose key is NULL are never returned. *)
+
+val lookup_eq_rows : t -> string -> Value.t -> Value.t array list
+val lookup_range_rows :
+  t -> string -> ?lo:Value.t * bool -> ?hi:Value.t * bool -> unit -> Value.t array list
+(** {!lookup_eq} and {!lookup_range} returning the stored rows. *)
 
 val index_served : t -> string -> [ `Eq | `Range ] -> bool
 (** Would {!lookup_eq} / {!lookup_range} on this column be index-backed?

@@ -1,181 +1,62 @@
-exception Exec_error of string
-
-let fail fmt = Printf.ksprintf (fun m -> raise (Exec_error m)) fmt
-
 (* ------------------------------------------------------------------ *)
-(* Plan execution                                                      *)
+(* Plan execution over positional rows                                 *)
 (* ------------------------------------------------------------------ *)
 
-let scan_rows catalog table_name access =
-  match catalog.Sql_plan.table_of table_name with
-  | None -> fail "unknown table %s" table_name
-  | Some table -> (
-    match access with
-    | Sql_plan.Seq_scan -> Rel_table.to_list table
-    | Sql_plan.Index_eq (cname, v) -> Rel_table.lookup_eq table cname v
-    | Sql_plan.Index_range (cname, lo, hi) -> Rel_table.lookup_range table cname ?lo ?hi ())
+let scan table access filter =
+  let keep = Option.value filter ~default:(fun _ -> true) in
+  match access with
+  | Sql_plan.Seq_scan ->
+    let out = ref [] in
+    Rel_table.iter_rows table (fun row -> if keep row then out := row :: !out);
+    List.rev !out
+  | Sql_plan.Index_eq (c, v) -> List.filter keep (Rel_table.lookup_eq_rows table c v)
+  | Sql_plan.Index_range (c, lo, hi) ->
+    List.filter keep (Rel_table.lookup_range_rows table c ?lo ?hi ())
 
-let rec scans_of_plan = function
-  | Sql_plan.Scan { table; binding; _ } -> [ (binding, table) ]
-  | Sql_plan.Nl_join { left; right; _ } | Sql_plan.Hash_join { left; right; _ } ->
-    scans_of_plan left @ scans_of_plan right
-
-(* Left-outer padding: bind every right-side column to NULL so that
-   projections and predicates over the right side stay well defined. *)
-let pad_right catalog lt right_plan =
-  List.fold_left
-    (fun acc (binding, table) ->
-      match catalog.Sql_plan.table_of table with
-      | None -> fail "unknown table %s" table
-      | Some t ->
-        List.fold_left
-          (fun acc c -> Tuple.set acc (binding ^ "." ^ c.Dschema.col_name) Value.Null)
-          acc (Rel_table.schema t).Dschema.columns)
-    lt (scans_of_plan right_plan)
-
-let rec run_plan catalog plan =
-  match plan with
-  | Sql_plan.Scan { table; binding; access; filter; est = _ } ->
-    let rows = scan_rows catalog table access in
-    let rows = List.map (Tuple.prefix binding) rows in
-    (match filter with
-    | None -> rows
-    | Some f -> List.filter (fun t -> Sql_eval.eval_pred t f) rows)
-  | Sql_plan.Nl_join { left; right; kind; cond; est = _ } ->
-    let lrows = run_plan catalog left in
-    let rrows = run_plan catalog right in
-    let match_row lt =
-      List.filter_map
-        (fun rt ->
-          let joined = Tuple.concat lt rt in
-          match cond with
-          | None -> Some joined
-          | Some c -> if Sql_eval.eval_pred joined c then Some joined else None)
-        rrows
-    in
-    List.concat_map
-      (fun lt ->
-        match match_row lt, kind with
-        | [], Sql_ast.Left_outer -> [ pad_right catalog lt right ]
-        | matches, _ -> matches)
-      lrows
-  | Sql_plan.Hash_join { left; right; kind; left_key; right_key; residual; est = _ } ->
-    let lrows = run_plan catalog left in
-    let rrows = run_plan catalog right in
-    (* Build on the right side, probe from the left, preserving left
-       order (needed for LEFT OUTER semantics). *)
-    let index : (Value.t, Tuple.t list) Hashtbl.t = Hashtbl.create (List.length rrows) in
+(* Candidate right rows per left row: all of them for a nested loop, the
+   key's bucket for a hash join (built on the right, in right order). *)
+let candidates rrows = function
+  | None -> fun _ -> rrows
+  | Some (left_key, right_key) ->
+    let index = Value.Tbl.create (max 16 (List.length rrows)) in
     List.iter
-      (fun rt ->
-        match Sql_eval.eval rt right_key with
+      (fun r ->
+        match right_key r with
         | Value.Null -> () (* NULL keys never join *)
-        | k ->
-          let existing = Option.value ~default:[] (Hashtbl.find_opt index k) in
-          Hashtbl.replace index k (rt :: existing))
+        | k -> (
+          match Value.Tbl.find_opt index k with
+          | Some bucket -> bucket := r :: !bucket
+          | None -> Value.Tbl.add index k (ref [ r ])))
       (List.rev rrows);
+    fun l ->
+      match left_key l with
+      | Value.Null -> []
+      | k -> ( match Value.Tbl.find_opt index k with Some bucket -> !bucket | None -> [])
+
+let rec run = function
+  | Sql_plan.Scan_rows { table; access; filter } -> scan table access filter
+  | Sql_plan.Join_rows { left; right; outer; right_width; keys; cond } ->
+    let lrows = run left in
+    let rrows = run right in
+    let candidates = candidates rrows keys in
+    let nulls = Array.make right_width Value.Null in
+    (* Left order is preserved (needed for LEFT OUTER semantics). *)
     List.concat_map
-      (fun lt ->
+      (fun l ->
         let matches =
-          match Sql_eval.eval lt left_key with
-          | Value.Null -> []
-          | k ->
-            Option.value ~default:[] (Hashtbl.find_opt index k)
-            |> List.filter_map (fun rt ->
-                   let joined = Tuple.concat lt rt in
-                   match residual with
-                   | None -> Some joined
-                   | Some c -> if Sql_eval.eval_pred joined c then Some joined else None)
+          List.filter_map
+            (fun r ->
+              let joined = Array.append l r in
+              match cond with
+              | None -> Some joined
+              | Some keep -> if keep joined then Some joined else None)
+            (candidates l)
         in
-        match matches, kind with
-        | [], Sql_ast.Left_outer -> [ pad_right catalog lt right ]
-        | matches, _ -> matches)
+        match matches with
+        | [] when outer -> [ Array.append l nulls ]
+        | matches -> matches)
       lrows
-
-(* ------------------------------------------------------------------ *)
-(* Projection helpers                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let rec from_aliases = function
-  | Sql_ast.From_table { table; alias } -> [ (Option.value ~default:table alias, table) ]
-  | Sql_ast.From_join (lhs, _, { table; alias }, _) ->
-    from_aliases lhs @ [ (Option.value ~default:table alias, table) ]
-
-let alias_columns catalog (alias, table) =
-  match catalog.Sql_plan.table_of table with
-  | None -> fail "unknown table %s" table
-  | Some t -> List.map (fun c -> (alias, c.Dschema.col_name)) (Rel_table.schema t).Dschema.columns
-
-(* Expand stars into qualified column refs; compute output names. *)
-let expand_items catalog (s : Sql_ast.select) =
-  let aliases = match s.Sql_ast.from with Some f -> from_aliases f | None -> [] in
-  let all_cols = List.concat_map (alias_columns catalog) aliases in
-  let bare_unique n = List.length (List.filter (fun (_, c) -> c = n) all_cols) = 1 in
-  let expand = function
-    | Sql_ast.Star ->
-      List.map
-        (fun (a, c) ->
-          let name = if bare_unique c then c else a ^ "." ^ c in
-          `Expr (Sql_ast.Col (Some a, c), name))
-        all_cols
-    | Sql_ast.Qualified_star q ->
-      let cols = List.filter (fun (a, _) -> a = q) all_cols in
-      if cols = [] then fail "unknown alias %s.*" q;
-      List.map
-        (fun (a, c) ->
-          let name = if bare_unique c then c else a ^ "." ^ c in
-          `Expr (Sql_ast.Col (Some a, c), name))
-        cols
-    | Sql_ast.Expr_item (e, alias) ->
-      let name =
-        match alias, e with
-        | Some a, _ -> a
-        | None, Sql_ast.Col (_, n) -> n
-        | None, e -> Sql_print.expr_to_string e
-      in
-      [ `Expr (e, name) ]
-    | Sql_ast.Agg_item (fn, arg, alias) ->
-      let name =
-        match alias with
-        | Some a -> a
-        | None -> (
-          match fn, arg with
-          | Sql_ast.Count_star, _ -> "count"
-          | _, Some e ->
-            String.lowercase_ascii (Sql_ast.agg_fn_name fn) ^ "_" ^ Sql_print.expr_to_string e
-          | _, None -> String.lowercase_ascii (Sql_ast.agg_fn_name fn))
-      in
-      [ `Agg (fn, arg, name) ]
-  in
-  let items = List.concat_map expand s.Sql_ast.items in
-  (* Disambiguate duplicate output names: qualified columns fall back to
-     their alias-qualified name, anything else gets a numeric suffix. *)
-  let counts = Hashtbl.create 8 in
-  List.iter
-    (fun item ->
-      let name = match item with `Expr (_, n) | `Agg (_, _, n) -> n in
-      Hashtbl.replace counts name (1 + Option.value ~default:0 (Hashtbl.find_opt counts name)))
-    items;
-  let seen = Hashtbl.create 8 in
-  List.map
-    (fun item ->
-      let name = match item with `Expr (_, n) | `Agg (_, _, n) -> n in
-      if Option.value ~default:0 (Hashtbl.find_opt counts name) <= 1 then item
-      else begin
-        let occurrence = 1 + Option.value ~default:0 (Hashtbl.find_opt seen name) in
-        Hashtbl.replace seen name occurrence;
-        let fresh =
-          match item with
-          | `Expr (Sql_ast.Col (Some a, n), _) -> a ^ "." ^ n
-          | _ -> Printf.sprintf "%s_%d" name occurrence
-        in
-        match item with
-        | `Expr (e, _) -> `Expr (e, fresh)
-        | `Agg (fn, arg, _) -> `Agg (fn, arg, fresh)
-      end)
-    items
-
-let output_names catalog s =
-  List.map (function `Expr (_, n) -> n | `Agg (_, _, n) -> n) (expand_items catalog s)
+  | Sql_plan.Filter_rows { input; keep } -> List.filter keep (run input)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation                                                         *)
@@ -223,118 +104,99 @@ let agg_result fn st =
   | Sql_ast.Min -> Option.value ~default:Value.Null st.vmin
   | Sql_ast.Max -> Option.value ~default:Value.Null st.vmax
 
-let has_agg items =
-  List.exists (function `Agg _ -> true | `Expr _ -> false) items
-
-let run_grouped catalog s items rows =
-  let group_exprs = s.Sql_ast.group_by in
-  (* Group key: evaluated group-by expressions (one group when absent). *)
-  let groups : (Value.t list, Tuple.t list ref) Hashtbl.t = Hashtbl.create 16 in
-  let order : Value.t list list ref = ref [] in
+let aggregate fn arg bucket =
+  let st = new_agg_state () in
   List.iter
     (fun row ->
-      let key = List.map (fun e -> Sql_eval.eval row e) group_exprs in
-      match Hashtbl.find_opt groups key with
+      agg_feed st
+        (match arg with
+        | Some f -> f row
+        | None -> Value.Int 1))
+    bucket;
+  agg_result fn st
+
+(* Rows, group keys and DISTINCT compare under [Value.equal], as [=]
+   does: [Int 1] and [Float 1.0] are one key. *)
+module Row_tbl = Hashtbl.Make (struct
+  type t = Value.t array
+
+  let equal a b = Array.length a = Array.length b && Array.for_all2 Value.equal a b
+  let hash row = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 row
+end)
+
+let run_grouped (st : Sql_plan.statement) rows =
+  (* Group key: evaluated group-by expressions (one group when absent). *)
+  let group_by = Array.of_list st.group_by in
+  let groups : Sql_plan.row list ref Row_tbl.t = Row_tbl.create 16 in
+  let order = ref [] in
+  List.iter
+    (fun row ->
+      let key = Array.map (fun f -> f row) group_by in
+      match Row_tbl.find_opt groups key with
       | Some bucket -> bucket := row :: !bucket
       | None ->
-        Hashtbl.add groups key (ref [ row ]);
-        order := key :: !order)
+        let bucket = ref [ row ] in
+        Row_tbl.add groups key bucket;
+        order := bucket :: !order)
     rows;
-  let keys = List.rev !order in
-  let keys = if keys = [] && group_exprs = [] then [ [] ] else keys in
-  ignore catalog;
+  let buckets = List.rev_map (fun b -> List.rev !b) !order in
+  let buckets = if buckets = [] && st.group_by = [] then [ [] ] else buckets in
   List.filter_map
-    (fun key ->
-      let bucket =
-        match Hashtbl.find_opt groups key with
-        | Some b -> List.rev !b
-        | None -> []
-      in
+    (fun bucket ->
+      (* Plain items are group-by expressions (or constant over the
+         group): read them from the group's first row. *)
       let representative =
         match bucket with
         | r :: _ -> r
-        | [] -> Tuple.empty
+        | [] -> Array.make st.input_width Value.Null
       in
-      (* HAVING can mention aggregates only through aliases of the select
-         list in this subset; we evaluate it over the output tuple. *)
-      let out_fields =
-        List.map
-          (function
-            | `Expr (e, name) ->
-              (* Must be a group-by expression (or constant over group). *)
-              (name, Sql_eval.eval representative e)
-            | `Agg (fn, arg, name) ->
-              let st = new_agg_state () in
-              List.iter
-                (fun row ->
-                  let v =
-                    match arg with
-                    | Some e -> Sql_eval.eval row e
-                    | None -> Value.Int 1
-                  in
-                  agg_feed st v)
-                bucket;
-              (name, agg_result fn st))
-          items
+      let out =
+        Array.of_list
+          (List.map
+             (function
+               | Sql_plan.Value_item f -> f representative
+               | Sql_plan.Agg_item (fn, arg) -> aggregate fn arg bucket)
+             st.items)
       in
-      let out = Tuple.make out_fields in
-      match s.Sql_ast.having with
-      | Some h ->
-        (* Try the output tuple first (aliases), fall back to the
-           representative row extended with outputs. *)
-        let env = Tuple.concat out representative in
-        if Sql_eval.eval_pred env h then Some out else None
-      | None -> Some out)
-    keys
+      match st.having with
+      | Some keep -> if keep (Array.append out representative) then Some (out, representative) else None
+      | None -> Some (out, representative))
+    buckets
 
 (* ------------------------------------------------------------------ *)
 (* Ordering, distinct, limit                                           *)
 (* ------------------------------------------------------------------ *)
 
-let order_rows (s : Sql_ast.select) pre_rows out_rows =
-  match s.Sql_ast.order_by with
-  | [] -> out_rows
+let order_rows (st : Sql_plan.statement) pairs =
+  match st.order_by with
+  | [] -> List.map fst pairs
   | specs ->
-    (* Order key may reference either output names or input columns: we
-       sort pairs of (pre, out) when arities match, else just outputs. *)
-    let paired =
-      match pre_rows with
-      | Some pres when List.length pres = List.length out_rows ->
-        List.combine pres out_rows
-      | _ -> List.map (fun o -> (o, o)) out_rows
-    in
-    let key_of (pre, out) =
-      List.map
-        (fun { Sql_ast.order_expr; _ } ->
-          try Sql_eval.eval out order_expr
-          with Sql_eval.Eval_error _ -> Sql_eval.eval (Tuple.concat out pre) order_expr)
-        specs
+    let key_of (out, input) =
+      let env = if st.order_by_input then Array.append out input else out in
+      List.map (fun (f, _) -> f env) specs
     in
     let cmp (ka, _) (kb, _) =
       let rec go ks specs =
         match ks, specs with
         | [], _ | _, [] -> 0
-        | (a, b) :: rest, { Sql_ast.ascending; _ } :: srest ->
+        | (a, b) :: rest, (_, ascending) :: srest ->
           let c = Value.compare a b in
           if c <> 0 then if ascending then c else -c else go rest srest
       in
       go (List.combine ka kb) specs
     in
-    let keyed = List.map (fun pair -> (key_of pair, snd pair)) paired in
-    let sorted = List.stable_sort cmp keyed in
-    List.map snd sorted
+    List.map (fun ((out, _) as pair) -> (key_of pair, out)) pairs
+    |> List.stable_sort cmp |> List.map snd
 
 let distinct_rows rows =
-  (* Bucket by hash, compare with typed equality: rendered text would
-     merge values of different types that print alike. *)
-  let seen : (int, Tuple.t list) Hashtbl.t = Hashtbl.create 64 in
+  (* Typed equality: rendered text would merge values of different
+     types that print alike. *)
+  let seen = Row_tbl.create 64 in
   List.filter
     (fun row ->
-      let h = Tuple.hash row in
-      let bucket = Option.value ~default:[] (Hashtbl.find_opt seen h) in
-      if List.exists (Tuple.equal row) bucket then false
+      if Row_tbl.mem seen row then false
       else begin
-        Hashtbl.replace seen h (row :: bucket);
+        Row_tbl.add seen row ();
         true
       end)
     rows
@@ -354,30 +216,27 @@ let limit_rows n rows =
 (* Top level                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let run_select catalog (s : Sql_ast.select) =
-  let items = expand_items catalog s in
-  let base_rows =
-    match Sql_plan.plan_select catalog s with
-    | None -> [ Tuple.empty ]
-    | Some plan -> run_plan catalog plan
+let run_statement (st : Sql_plan.statement) =
+  let rows =
+    match st.input with
+    | None -> [ [||] ]
+    | Some node -> run node
   in
-  if has_agg items || s.Sql_ast.group_by <> [] then begin
-    let outs = run_grouped catalog s items base_rows in
-    let outs = order_rows s None outs in
-    let outs = if s.Sql_ast.distinct then distinct_rows outs else outs in
-    limit_rows s.Sql_ast.limit outs
-  end
-  else begin
-    let project row =
-      Tuple.make
-        (List.map
-           (function
-             | `Expr (e, name) -> (name, Sql_eval.eval row e)
-             | `Agg _ -> assert false)
-           items)
-    in
-    let outs = List.map project base_rows in
-    let outs = order_rows s (Some base_rows) outs in
-    let outs = if s.Sql_ast.distinct then distinct_rows outs else outs in
-    limit_rows s.Sql_ast.limit outs
-  end
+  let pairs =
+    if st.grouped then run_grouped st rows
+    else begin
+      let value_of = function
+        | Sql_plan.Value_item f -> f
+        | Sql_plan.Agg_item _ -> assert false
+      in
+      let project = Array.of_list (List.map value_of st.items) in
+      List.map (fun row -> (Array.map (fun f -> f row) project, row)) rows
+    end
+  in
+  let outs = order_rows st pairs in
+  let outs = if st.distinct then distinct_rows outs else outs in
+  List.map (Tuple.of_row st.header) (limit_rows st.limit outs)
+
+let run_select catalog s =
+  let st = Sql_plan.bind_select catalog s in
+  (st.Sql_plan.names, run_statement st)

@@ -1,17 +1,15 @@
 (** Execution of SELECT statements over a catalog of tables.
 
-    Joined tuples carry alias-qualified field names ([a.col]); the final
-    projection renames to bare column names or aliases.  Grouping,
-    HAVING, DISTINCT, ORDER BY and LIMIT follow standard SQL semantics
-    (NULLs sort first; UNKNOWN predicates drop rows). *)
+    A statement is bound once by {!Sql_plan.bind_select}; execution then
+    runs on positional rows ([Value.t array]): scans hand out the stored
+    rows of {!Rel_table}, joins concatenate rows at offsets fixed at bind
+    time, and names are attached only to the output rows, from one shared
+    header.  Grouping, HAVING, DISTINCT, ORDER BY and LIMIT follow
+    standard SQL semantics (NULLs sort first; UNKNOWN predicates drop
+    rows). *)
 
-exception Exec_error of string
-
-val run_plan : Sql_plan.catalog -> Sql_plan.plan -> Tuple.t list
-(** Execute just the FROM/WHERE plan; fields are alias-qualified. *)
-
-val run_select : Sql_plan.catalog -> Sql_ast.select -> Tuple.t list
-(** Full SELECT pipeline. *)
-
-val output_names : Sql_plan.catalog -> Sql_ast.select -> string list
-(** The column names [run_select] will produce, in order. *)
+val run_select : Sql_plan.catalog -> Sql_ast.select -> string list * Tuple.t list
+(** Bind and run: the output column names and the rows.
+    @raise Sql_plan.Plan_error and {!Sql_eval.Eval_error} at bind time
+    (unknown table, alias or column), {!Sql_eval.Eval_error} on type
+    errors while running. *)

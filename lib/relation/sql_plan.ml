@@ -31,18 +31,20 @@ type plan =
       residual : Sql_ast.expr option;
       est : float;
     }
+  | Filter of { input : plan; pred : Sql_ast.expr; est : float }
 
 exception Plan_error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Plan_error m)) fmt
 
 let estimated_rows = function
-  | Scan { est; _ } | Nl_join { est; _ } | Hash_join { est; _ } -> est
+  | Scan { est; _ } | Nl_join { est; _ } | Hash_join { est; _ } | Filter { est; _ } -> est
 
 let rec bindings_of_plan = function
   | Scan { binding; _ } -> [ binding ]
   | Nl_join { left; right; _ } | Hash_join { left; right; _ } ->
     bindings_of_plan left @ bindings_of_plan right
+  | Filter { input; _ } -> bindings_of_plan input
 
 (* ------------------------------------------------------------------ *)
 (* Selectivity heuristics                                              *)
@@ -118,7 +120,8 @@ let aliases_of_expr entries catalog e =
 (* ------------------------------------------------------------------ *)
 
 (* Match a conjunct as [col op literal] over this alias, in either
-   orientation. *)
+   orientation.  A NULL literal never matches: the comparison is
+   UNKNOWN for every row, which an index probe would not reproduce. *)
 let as_column_literal alias table e =
   let owns name = Dschema.find_column (Rel_table.schema table) name <> None in
   let col_of = function
@@ -127,6 +130,7 @@ let as_column_literal alias table e =
     | _ -> None
   in
   match e with
+  | Sql_ast.Binop (_, _, Sql_ast.Lit Value.Null) | Sql_ast.Binop (_, Sql_ast.Lit Value.Null, _) -> None
   | Sql_ast.Binop (op, lhs, Sql_ast.Lit v) -> (
     match col_of lhs with
     | Some n -> Some (n, op, v)
@@ -180,22 +184,22 @@ let choose_access table alias conjuncts =
     | [] -> (Seq_scan, conjuncts)
     | (_, (first_col, _, _)) :: _ ->
       let on_col = List.filter (fun (_, (n, _, _)) -> String.equal n first_col) range_cols in
+      (* One conjunct per side becomes the bound; any further bound on
+         the same side stays a filter. *)
       let lo = ref None and hi = ref None and used = ref [] in
+      let take bound e v inclusive =
+        if !bound = None then begin
+          bound := Some (v, inclusive);
+          used := e :: !used
+        end
+      in
       List.iter
         (fun (e, (_, op, v)) ->
           match op with
-          | Sql_ast.Gt ->
-            lo := Some (v, false);
-            used := e :: !used
-          | Sql_ast.Ge ->
-            lo := Some (v, true);
-            used := e :: !used
-          | Sql_ast.Lt ->
-            hi := Some (v, false);
-            used := e :: !used
-          | Sql_ast.Le ->
-            hi := Some (v, true);
-            used := e :: !used
+          | Sql_ast.Gt -> take lo e v false
+          | Sql_ast.Ge -> take lo e v true
+          | Sql_ast.Lt -> take hi e v false
+          | Sql_ast.Le -> take hi e v true
           | _ -> ())
         on_col;
       let rest = List.filter (fun e -> not (List.memq e !used)) conjuncts in
@@ -249,6 +253,11 @@ let equi_split entries catalog left_aliases right_aliases cond =
       | None -> pick (e :: acc) rest)
   in
   pick [] conjuncts
+
+(* Predicates left over after planning the joins read the joined rows. *)
+let filtered plan = function
+  | None -> plan
+  | Some pred -> Filter { input = plan; pred; est = max 1.0 (estimated_rows plan *. selectivity pred) }
 
 let join_est left right cond =
   let l = estimated_rows left and r = estimated_rows right in
@@ -316,36 +325,9 @@ let plan_select catalog (s : Sql_ast.select) =
             make_join entries catalog kind acc right cond)
           base rest
       in
-      match Sql_ast.conjoin remaining with
-      | None -> Some joined
-      | Some residual ->
-        (* Apply as a residual nested-loop filter via an Nl_join with a
-           single-sided condition: wrap in a filter-scan is not possible,
-           so reuse Nl_join with a constant right side is ugly — instead
-           attach to the top join when present. *)
-        Some
-          (match joined with
-          | Nl_join j ->
-            let cond =
-              match j.cond with
-              | Some c -> Some Sql_ast.(c &&& residual)
-              | None -> Some residual
-            in
-            Nl_join { j with cond }
-          | Hash_join j ->
-            let residual' =
-              match j.residual with
-              | Some c -> Some Sql_ast.(c &&& residual)
-              | None -> Some residual
-            in
-            Hash_join { j with residual = residual' }
-          | Scan sc ->
-            let filter =
-              match sc.filter with
-              | Some f -> Some Sql_ast.(f &&& residual)
-              | None -> Some residual
-            in
-            Scan { sc with filter })
+      (* WHERE applies to the joined rows: inside a LEFT join's
+         condition it would pad the rows it should drop. *)
+      Some (filtered joined (Sql_ast.conjoin remaining))
     end
     else begin
       (* Inner joins only: pool all conjuncts (ON + WHERE) and reorder. *)
@@ -358,12 +340,13 @@ let plan_select catalog (s : Sql_ast.select) =
               | None -> [])
             entries
       in
-      (* Single-table conjuncts go into scans. *)
+      (* Single-table conjuncts go into scans.  One naming an unknown
+         alias stays pending, so binding reports it. *)
       let single, multi =
         List.partition
           (fun e ->
             match aliases_of_expr entries catalog e with
-            | [ _ ] -> true
+            | [ a ] -> List.mem a aliases
             | _ -> false)
           all_conjuncts
       in
@@ -423,36 +406,235 @@ let plan_select catalog (s : Sql_ast.select) =
         current := make_join entries catalog Sql_ast.Inner !current p (Sql_ast.conjoin applicable);
         pending := List.filter (fun (a, _) -> a <> alias) !pending
       done;
-      (* Any predicate still unapplied (e.g. referencing no alias, or a
-         constant) is attached on top. *)
-      let leftover = Sql_ast.conjoin !remaining_preds in
-      match leftover with
-      | None -> Some !current
-      | Some residual ->
-        Some
-          (match !current with
-          | Scan sc ->
-            let filter =
-              match sc.filter with
-              | Some f -> Some Sql_ast.(f &&& residual)
-              | None -> Some residual
-            in
-            Scan { sc with filter }
-          | Nl_join j ->
-            let cond =
-              match j.cond with
-              | Some c -> Some Sql_ast.(c &&& residual)
-              | None -> Some residual
-            in
-            Nl_join { j with cond }
-          | Hash_join j ->
-            let residual' =
-              match j.residual with
-              | Some c -> Some Sql_ast.(c &&& residual)
-              | None -> Some residual
-            in
-            Hash_join { j with residual = residual' })
+      (* Any predicate still unapplied (a constant, or one naming no
+         known alias) filters the joined rows. *)
+      Some (filtered !current (Sql_ast.conjoin !remaining_preds))
     end
+
+(* ------------------------------------------------------------------ *)
+(* Binding: every column reference to a slot, once per statement       *)
+(* ------------------------------------------------------------------ *)
+
+type row = Value.t array
+
+type node =
+  | Scan_rows of { table : Rel_table.t; access : access; filter : (row -> bool) option }
+  | Join_rows of {
+      left : node;
+      right : node;
+      outer : bool;
+      right_width : int;
+      keys : ((row -> Value.t) * (row -> Value.t)) option;
+      cond : (row -> bool) option;
+    }
+  | Filter_rows of { input : node; keep : row -> bool }
+
+type item =
+  | Value_item of (row -> Value.t)
+  | Agg_item of Sql_ast.agg_fn * (row -> Value.t) option
+
+type statement = {
+  names : string list;
+  header : Tuple.header;
+  input : node option;
+  input_width : int;
+  grouped : bool;
+  items : item list;
+  group_by : (row -> Value.t) list;
+  having : (row -> bool) option;
+  order_by : ((row -> Value.t) * bool) list;
+  order_by_input : bool;
+  distinct : bool;
+  limit : int option;
+}
+
+let table_exn catalog name =
+  match catalog.table_of name with
+  | Some t -> t
+  | None -> fail "unknown table %s" name
+
+let column_names table =
+  List.map (fun c -> c.Dschema.col_name) (Rel_table.schema table).Dschema.columns
+
+(* A plan's rows: each scan's columns as [alias.column], scans in plan
+   order, so a join row is its left row followed by its right row. *)
+let rec bind_node catalog plan =
+  match plan with
+  | Scan { table; binding; access; filter; est = _ } ->
+    let table = table_exn catalog table in
+    let names = List.map (fun c -> binding ^ "." ^ c) (column_names table) in
+    let filter = Option.map (fun f -> Sql_eval.compile_pred (Sql_eval.scope names) f) filter in
+    (Scan_rows { table; access; filter }, names)
+  | Nl_join { left; right; kind; cond; est = _ } -> bind_join catalog left right kind None cond
+  | Hash_join { left; right; kind; left_key; right_key; residual; est = _ } ->
+    bind_join catalog left right kind (Some (left_key, right_key)) residual
+  | Filter { input; pred; est = _ } ->
+    let input, names = bind_node catalog input in
+    (Filter_rows { input; keep = Sql_eval.compile_pred (Sql_eval.scope names) pred }, names)
+
+and bind_join catalog left right kind keys cond =
+  let left, lnames = bind_node catalog left in
+  let right, rnames = bind_node catalog right in
+  let names = lnames @ rnames in
+  let keys =
+    Option.map
+      (fun (lk, rk) ->
+        ( Sql_eval.compile (Sql_eval.scope lnames) lk,
+          Sql_eval.compile (Sql_eval.scope rnames) rk ))
+      keys
+  in
+  let cond = Option.map (fun c -> Sql_eval.compile_pred (Sql_eval.scope names) c) cond in
+  let outer = match kind with Sql_ast.Left_outer -> true | Sql_ast.Inner -> false in
+  (Join_rows { left; right; outer; right_width = List.length rnames; keys; cond }, names)
+
+(* Expand stars into qualified column refs; compute output names. *)
+let expand_items catalog (s : Sql_ast.select) =
+  let entries = match s.Sql_ast.from with Some f -> flatten_from f | None -> [] in
+  let all_cols =
+    List.concat_map
+      (fun fe -> List.map (fun c -> (fe.fe_alias, c)) (column_names (table_exn catalog fe.fe_table)))
+      entries
+  in
+  let bare_unique n = List.length (List.filter (fun (_, c) -> c = n) all_cols) = 1 in
+  let star_item (a, c) =
+    let name = if bare_unique c then c else a ^ "." ^ c in
+    `Expr (Sql_ast.Col (Some a, c), name)
+  in
+  let expand = function
+    | Sql_ast.Star -> List.map star_item all_cols
+    | Sql_ast.Qualified_star q ->
+      let cols = List.filter (fun (a, _) -> a = q) all_cols in
+      if cols = [] then fail "unknown alias %s.*" q;
+      List.map star_item cols
+    | Sql_ast.Expr_item (e, alias) ->
+      let name =
+        match alias, e with
+        | Some a, _ -> a
+        | None, Sql_ast.Col (_, n) -> n
+        | None, e -> Sql_print.expr_to_string e
+      in
+      [ `Expr (e, name) ]
+    | Sql_ast.Agg_item (fn, arg, alias) ->
+      let name =
+        match alias with
+        | Some a -> a
+        | None -> (
+          match fn, arg with
+          | Sql_ast.Count_star, _ -> "count"
+          | _, Some e ->
+            String.lowercase_ascii (Sql_ast.agg_fn_name fn) ^ "_" ^ Sql_print.expr_to_string e
+          | _, None -> String.lowercase_ascii (Sql_ast.agg_fn_name fn))
+      in
+      [ `Agg (fn, arg, name) ]
+  in
+  let items = List.concat_map expand s.Sql_ast.items in
+  (* Disambiguate duplicate output names: qualified columns fall back to
+     their alias-qualified name, anything else gets a numeric suffix. *)
+  let name_of = function `Expr (_, n) | `Agg (_, _, n) -> n in
+  let counts = Hashtbl.create 8 in
+  List.iter
+    (fun item ->
+      let name = name_of item in
+      Hashtbl.replace counts name (1 + Option.value ~default:0 (Hashtbl.find_opt counts name)))
+    items;
+  let seen = Hashtbl.create 8 in
+  List.map
+    (fun item ->
+      let name = name_of item in
+      if Option.value ~default:0 (Hashtbl.find_opt counts name) <= 1 then item
+      else begin
+        let occurrence = 1 + Option.value ~default:0 (Hashtbl.find_opt seen name) in
+        Hashtbl.replace seen name occurrence;
+        let fresh =
+          match item with
+          | `Expr (Sql_ast.Col (Some a, n), _) -> a ^ "." ^ n
+          | _ -> Printf.sprintf "%s_%d" name occurrence
+        in
+        match item with
+        | `Expr (e, _) -> `Expr (e, fresh)
+        | `Agg (fn, arg, _) -> `Agg (fn, arg, fresh)
+      end)
+    items
+
+let bind_select catalog (s : Sql_ast.select) =
+  let items = expand_items catalog s in
+  let names = List.map (function `Expr (_, n) | `Agg (_, _, n) -> n) items in
+  let header =
+    try Tuple.header names
+    with Invalid_argument _ -> fail "duplicate output column in %s" (String.concat ", " names)
+  in
+  let input, input_names =
+    match plan_select catalog s with
+    | None -> (None, [])
+    | Some plan ->
+      let node, names = bind_node catalog plan in
+      (Some node, names)
+  in
+  let value = Sql_eval.compile (Sql_eval.scope input_names) in
+  let grouped =
+    s.Sql_ast.group_by <> [] || List.exists (function `Agg _ -> true | `Expr _ -> false) items
+  in
+  let items =
+    List.map
+      (function
+        | `Expr (e, _) -> Value_item (value e)
+        | `Agg (fn, arg, _) -> Agg_item (fn, Option.map value arg))
+      items
+  in
+  (* HAVING and ORDER BY try the output names before the input columns:
+     HAVING reads the output row followed by the group's first input row;
+     an ORDER BY key that does not bind to the output alone reads the
+     output row followed by its input row (grouped queries have only the
+     output). *)
+  let out_and_input = lazy (Sql_eval.scope (names @ input_names)) in
+  let having =
+    if grouped then Option.map (Sql_eval.compile_pred (Lazy.force out_and_input)) s.Sql_ast.having
+    else None
+  in
+  let out = lazy (Sql_eval.scope names) in
+  let order_by_input = ref false in
+  let order_by =
+    List.map
+      (fun { Sql_ast.order_expr; ascending } ->
+        let key =
+          try Sql_eval.compile (Lazy.force out) order_expr
+          with Sql_eval.Eval_error _ when not grouped ->
+            order_by_input := true;
+            Sql_eval.compile (Lazy.force out_and_input) order_expr
+        in
+        (key, ascending))
+      s.Sql_ast.order_by
+  in
+  {
+    names;
+    header;
+    input;
+    input_width = List.length input_names;
+    grouped;
+    items;
+    group_by = List.map value s.Sql_ast.group_by;
+    having;
+    order_by;
+    order_by_input = !order_by_input;
+    distinct = s.Sql_ast.distinct;
+    limit = s.Sql_ast.limit;
+  }
+
+(* UPDATE and DELETE read a table's stored rows, whose fields are the
+   bare column names. *)
+let bind_where table = function
+  | None -> fun _ -> true
+  | Some w -> Sql_eval.compile_pred (Sql_eval.scope (column_names table)) w
+
+let bind_set table assigns =
+  let cols = Sql_eval.scope (column_names table) in
+  let sets =
+    List.map (fun (c, e) -> (Sql_eval.slot cols None c, Sql_eval.compile cols e)) assigns
+  in
+  fun row ->
+    let row' = Array.copy row in
+    List.iter (fun (i, f) -> row'.(i) <- f row) sets;
+    row'
 
 (* ------------------------------------------------------------------ *)
 (* Explain                                                             *)
@@ -504,6 +686,10 @@ let explain plan =
            est);
       go (indent + 1) left;
       go (indent + 1) right
+    | Filter { input; pred; est } ->
+      Buffer.add_string buf
+        (Printf.sprintf "%sFILTER %s (est %.0f)\n" pad (Sql_print.expr_to_string pred) est);
+      go (indent + 1) input
   in
   go 0 plan;
   Buffer.contents buf

@@ -324,6 +324,39 @@ let test_run_join_relational_with_xml () =
   check int_t "four priced orders" 4 (List.length results);
   check bool_t "matches reference" true (agree cat query)
 
+(* An INT key in one source equals a FLOAT key in another ([=] says
+   [Int 1 = Float 1.0]); every engine's hash join must find the pair the
+   reference evaluator finds. *)
+let test_run_join_int_float_keys () =
+  let source name stmts =
+    let db = Rel_db.create ~name () in
+    List.iter (fun s -> ignore (Rel_db.exec db s)) stmts;
+    Rel_source.make db
+  in
+  let query =
+    q
+      {|WHERE <row><k>$k</k><v>$v</v></row> IN "ia.a",
+             <row><k>$k</k><w>$w</w></row> IN "fb.b"
+        CONSTRUCT <pair><v>$v</v><w>$w</w></pair>|}
+  in
+  List.iter
+    (fun (label, mode) ->
+      let cat = Med_catalog.create () in
+      Med_catalog.register_source cat
+        (source "ia"
+           [ "CREATE TABLE a (k INT PRIMARY KEY, v INT)"; "INSERT INTO a VALUES (1, 10), (2, 20)" ]);
+      Med_catalog.register_source cat
+        (source "fb"
+           [ "CREATE TABLE b (k FLOAT, w INT)"; "INSERT INTO b VALUES (1.0, 100), (2.5, 200)" ]);
+      Med_catalog.set_exec_mode cat mode;
+      check int_t (label ^ ": one pair") 1 (List.length (Med_exec.run cat query));
+      check bool_t (label ^ ": matches reference") true (agree cat query))
+    [
+      ("tuple", Alg_batch.Tuple);
+      ("batch", Alg_batch.Batch { chunk = 2 });
+      ("parallel", Alg_batch.Parallel { domains = 2; chunk = 1 });
+    ]
+
 let test_run_csv_source () =
   let cat = make_catalog () in
   let query =
@@ -666,6 +699,7 @@ let () =
           Alcotest.test_case "select/project" `Quick test_run_select_project;
           Alcotest.test_case "two-table join" `Quick test_run_join_two_tables;
           Alcotest.test_case "relational x xml join" `Quick test_run_join_relational_with_xml;
+          Alcotest.test_case "int/float join keys" `Quick test_run_join_int_float_keys;
           Alcotest.test_case "csv" `Quick test_run_csv_source;
           Alcotest.test_case "order/limit" `Quick test_run_order_limit;
           Alcotest.test_case "element_as" `Quick test_run_element_as;
