@@ -1356,10 +1356,15 @@ let e18 () =
     Buffer.add_string buf "</catalog>";
     Buffer.contents buf
   in
-  (* The workload: a guide-answered navigation (variable sku) and a
+  (* The workload: a guide-answered navigation (no condition the path
+     can carry: string comparisons stay residual), a price band the
+     numeric value index answers as one interval, and a
      value-index-answered point lookup (literal sku). *)
   let queries =
     [
+      Xq_parser.parse_exn
+        {|WHERE <product sku=$s><cat>$c</cat></product> IN "shop.catalog", $s = "sku7"
+          CONSTRUCT <g><s>$s</s><c>$c</c></g>|};
       Xq_parser.parse_exn
         {|WHERE <product sku=$s><price>$p</price></product> IN "shop.catalog", $p < 15
           CONSTRUCT <r><s>$s</s><p>$p</p></r>|};

@@ -111,6 +111,24 @@ let to_xml_element t =
   | Xml_types.Text _ | Xml_types.Cdata _ | Xml_types.Comment _ | Xml_types.Pi _ ->
     invalid_arg "Dtree.to_xml_element: bare atom"
 
+let value_number = function
+  | Value.Int i -> Some (Xml_num.Int i)
+  | Value.Float f -> Some (Xml_num.Float f)
+  | v -> Xml_num.of_text (Value.to_string v)
+
+let number = function
+  | Node { kids = [ Atom (Value.Int i) ]; _ } -> Some (Xml_num.Int i)
+  | Node { kids = [ Atom (Value.Float f) ]; _ } -> Some (Xml_num.Float f)
+  | Atom _ -> None
+  | Node n -> (
+    let blank = function
+      | Atom v -> String.trim (Value.to_string v) = ""
+      | Node _ -> false
+    in
+    match List.filter (fun k -> not (blank k)) n.kids with
+    | [ Atom v ] -> value_number v
+    | _ -> None)
+
 let of_tuple lbl tup =
   node lbl (List.map (fun (name, v) -> leaf name v) (Tuple.fields tup))
 

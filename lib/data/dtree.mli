@@ -59,6 +59,18 @@ val to_xml : t -> Xml_types.node
 val to_xml_element : t -> Xml_types.element
 (** @raise Invalid_argument when the tree is a bare atom. *)
 
+val value_number : Value.t -> Xml_num.t option
+(** The numeric atom a value reads back as after rendering it to XML
+    text and parsing it with {!Value.of_string_guess}: [Int]/[Float]
+    themselves, [String "19"] as [Int 19], anything else [None]. *)
+
+val number : t -> Xml_num.t option
+(** The element's content as a numeric atom, read the way
+    [of_xml_element (to_xml_element t)] reads it: whitespace-only atoms
+    are dropped, and what is left must be one atom that
+    {!value_number} accepts.  The index-side twin of the XML-side reading
+    in [Xml_path]'s numeric ranges. *)
+
 val of_tuple : string -> Tuple.t -> t
 (** [of_tuple label tup] wraps each field as a child leaf:
     [<label><f1>v1</f1>...</label>]. *)

@@ -70,19 +70,17 @@ let parse_date s =
 let of_string_guess s =
   if s = "" then Null
   else
-    match int_of_string_opt s with
-    | Some i -> Int i
+    match Xml_num.of_text s with
+    | Some (Xml_num.Int i) -> Int i
+    | Some (Xml_num.Float f) -> Float f
     | None -> (
-      match float_of_string_opt s with
-      | Some f -> Float f
+      match parse_date s with
+      | Some d -> Date d
       | None -> (
-        match parse_date s with
-        | Some d -> Date d
-        | None -> (
-          match s with
-          | "true" -> Bool true
-          | "false" -> Bool false
-          | s -> String s)))
+        match s with
+        | "true" -> Bool true
+        | "false" -> Bool false
+        | s -> String s))
 
 let parse_as ty s =
   match ty with
@@ -97,15 +95,11 @@ let parse_as ty s =
   | TFloat -> Option.map (fun f -> Float f) (float_of_string_opt s)
   | TDate -> Option.map (fun d -> Date d) (parse_date s)
 
-let float_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%g" f
-
 let to_string = function
   | Null -> ""
   | Bool b -> string_of_bool b
   | Int i -> string_of_int i
-  | Float f -> float_to_string f
+  | Float f -> Xml_num.float_to_string f
   | String s -> s
   | Date d -> Printf.sprintf "%04d-%02d-%02d" d.year d.month d.day
 

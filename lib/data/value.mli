@@ -45,7 +45,10 @@ val parse_as : ty -> string -> t option
 
 val to_string : t -> string
 (** Textual form: what the value looks like as XML text content.  [Null]
-    renders as the empty string. *)
+    renders as the empty string.  A float prints as the shortest text
+    that {!of_string_guess} reads back as the same [Float]
+    ({!Xml_num.float_to_string}), so values survive the XML round trip
+    exactly. *)
 
 val to_display : t -> string
 (** Like {!to_string} but [Null] renders as ["NULL"] (for tables). *)

@@ -117,7 +117,7 @@ let test_supported = function
 let pred_positionless = function
   | Xml_path.Position _ -> false
   | Xml_path.Has_attr _ | Xml_path.Attr_cmp _ | Xml_path.Child_exists _
-  | Xml_path.Child_cmp _ | Xml_path.Text_cmp _ -> true
+  | Xml_path.Child_cmp _ | Xml_path.Text_cmp _ | Xml_path.Num_range _ -> true
 
 let supported (p : Xml_path.t) =
   let rec steps_ok = function

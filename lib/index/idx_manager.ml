@@ -105,10 +105,11 @@ let ensure_guide e =
     | Off -> None
     | Auto | Eager -> Some (build_guide e))
 
-(* Raw strings a node contributes to a value index of [kind].  These are
-   exactly what [Xml_path.pred_holds] compares on the XML rendering of
-   the node: [Dtree.text] equals [Xml_types.text_content] of the
-   serialized element, and attributes compare via [Value.to_string]. *)
+(* Raw strings a node contributes to a comparison index of [kind].
+   These are exactly what [Xml_path.pred_holds] compares on the XML
+   rendering of the node: [Dtree.text] equals [Xml_types.text_content]
+   of the serialized element, and attributes compare via
+   [Value.to_string]. *)
 let kind_values kind node =
   match kind with
   | Idx_value.Text -> [ Dtree.text node ]
@@ -117,6 +118,17 @@ let kind_values kind node =
     | Some v -> [ Value.to_string v ]
     | None -> [])
   | Idx_value.Child c -> List.map Dtree.text (Dtree.kids_named node c)
+  | Idx_value.Num _ -> invalid_arg "Idx_manager.kind_values"
+
+(* Numeric atoms a node contributes to a numeric index, one per child
+   (or the attribute), read as [node_pred_holds] reads them. *)
+let kind_numbers on node =
+  match on with
+  | Xml_path.On_child c -> List.map Dtree.number (Dtree.kids_named node c)
+  | Xml_path.On_attr a -> (
+    match Dtree.attr node a with
+    | Some v -> [ Dtree.value_number v ]
+    | None -> [])
 
 let value_index e guide key kind =
   let kkey = (key, Idx_value.kind_to_string kind) in
@@ -125,13 +137,18 @@ let value_index e guide key kind =
     match Hashtbl.find_opt e.e_values kkey with
     | Some idx -> idx
     | None ->
-      let entries =
+      let ids = Idx_guide.all_ids_of_key guide key in
+      let entries_of values =
         List.concat_map
-          (fun id ->
-            List.map (fun raw -> (raw, id)) (kind_values kind (Idx_guide.node guide id)))
-          (Idx_guide.all_ids_of_key guide key)
+          (fun id -> List.map (fun v -> (v, id)) (values (Idx_guide.node guide id)))
+          ids
       in
-      let idx = Idx_value.build entries in
+      let idx =
+        match kind with
+        | Idx_value.Num on -> Idx_value.build_numeric (entries_of (kind_numbers on))
+        | Idx_value.Text | Idx_value.Attr _ | Idx_value.Child _ ->
+          Idx_value.build (entries_of (kind_values kind))
+      in
       Hashtbl.replace e.e_values kkey idx;
       e.e_value_bytes <- e.e_value_bytes + Idx_value.bytes idx;
       tick c_builds;
@@ -331,6 +348,14 @@ let node_pred_holds node p =
       (Dtree.kids_named node n)
   | Xml_path.Text_cmp (op, rhs) ->
     Xml_path.compare_values op (Dtree.text node) rhs
+  | Xml_path.Num_range (Xml_path.On_child n, lo, hi) ->
+    List.exists
+      (fun c -> Xml_path.range_admits lo hi (Dtree.number c))
+      (Dtree.kids_named node n)
+  | Xml_path.Num_range (Xml_path.On_attr n, lo, hi) -> (
+    match Dtree.attr node n with
+    | Some v -> Xml_path.range_admits lo hi (Dtree.value_number v)
+    | None -> false)
   | Xml_path.Position _ -> false
 
 (* Split a path into its structural part (guide-probeable) and the
@@ -344,19 +369,63 @@ let split_preds (p : Xml_path.t) =
     in
     (stripped, last.Xml_path.preds)
 
-(* The first predicate a value index can answer outright. *)
-let value_probe_of preds =
-  List.find_map
+type value_probe =
+  | Cmp_probe of Xml_path.cmp_op * string
+  | Range_probe of Xml_path.bound option * Xml_path.bound option
+
+(* Every predicate a value index can answer outright. *)
+let value_probes preds =
+  List.filter_map
     (fun p ->
       match p with
       | Xml_path.Text_cmp (op, rhs) when op <> Xml_path.Neq ->
-        Some (Idx_value.Text, op, rhs)
+        Some (Idx_value.Text, Cmp_probe (op, rhs))
       | Xml_path.Attr_cmp (n, op, rhs) when op <> Xml_path.Neq ->
-        Some (Idx_value.Attr n, op, rhs)
+        Some (Idx_value.Attr n, Cmp_probe (op, rhs))
       | Xml_path.Child_cmp (n, op, rhs) when op <> Xml_path.Neq ->
-        Some (Idx_value.Child n, op, rhs)
+        Some (Idx_value.Child n, Cmp_probe (op, rhs))
+      | Xml_path.Num_range (on, lo, hi) -> Some (Idx_value.Num on, Range_probe (lo, hi))
       | _ -> None)
     preds
+
+(* Ascending ids in [within] that one value index admits. *)
+let probe_ids idx ~within:((lo, hi) as within) = function
+  | Range_probe (l, h) -> Idx_value.range_ids idx ~within l h
+  | Cmp_probe (op, rhs) ->
+    let ids = Option.value ~default:[] (Idx_value.probe idx op rhs) in
+    Array.of_list (List.filter (fun id -> id >= lo && id < hi) ids)
+
+let intersect a b =
+  let out = Array.make (min (Array.length a) (Array.length b)) 0 in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < Array.length a && !j < Array.length b do
+    let c = Int.compare a.(!i) b.(!j) in
+    if c = 0 then begin
+      out.(!k) <- a.(!i);
+      incr k;
+      incr i;
+      incr j
+    end
+    else if c < 0 then incr i
+    else incr j
+  done;
+  Array.sub out 0 !k
+
+(* Candidates from the value indexes: per predicate, the union over the
+   structural keys (disjoint id sets, so a sort merges them); across
+   predicates, the intersection. *)
+let value_candidates e guide keys within probes =
+  let per_probe (kind, probe) =
+    match List.map (fun key -> probe_ids (value_index e guide key kind) ~within probe) keys with
+    | [ ids ] -> ids
+    | parts ->
+      let all = Array.concat parts in
+      Array.sort Int.compare all;
+      all
+  in
+  match List.map per_probe probes with
+  | [] -> [||]
+  | first :: rest -> List.fold_left intersect first rest
 
 type outcome = Value | Guide
 
@@ -375,48 +444,35 @@ let try_select tree path =
         | None -> None
         | Some guide ->
           let stripped, preds = split_preds path in
-          let lo, hi = Idx_guide.root_range guide root in
+          let within = Idx_guide.root_range guide root in
+          let guide_probe () =
+            Option.map Array.of_list (Idx_guide.probe guide ~root stripped)
+          in
           let candidates, outcome =
-            match value_probe_of preds with
-            | Some (kind, op, rhs) -> (
+            match value_probes preds with
+            | [] -> (guide_probe (), Guide)
+            | probes -> (
               match Idx_guide.matching_keys guide stripped with
-              | None -> (Idx_guide.probe guide ~root stripped, Guide)
-              | Some keys ->
-                let probed =
-                  List.fold_left
-                    (fun acc key ->
-                      match acc with
-                      | None -> None
-                      | Some ids -> (
-                        match Idx_value.probe (value_index e guide key kind) op rhs with
-                        | None -> None
-                        | Some more ->
-                          Some
-                            (List.filter (fun id -> id >= lo && id < hi) more @ ids)))
-                    (Some []) keys
-                in
-                (match probed with
-                | Some ids -> (Some (List.sort Int.compare ids), Value)
-                | None -> (Idx_guide.probe guide ~root stripped, Guide)))
-            | None -> (Idx_guide.probe guide ~root stripped, Guide)
+              | Some keys -> (Some (value_candidates e guide keys within probes), Value)
+              | None -> (guide_probe (), Guide))
           in
           (match candidates with
           | None ->
             tick c_misses;
             None
           | Some ids ->
-            (* Re-check every predicate per node: idempotent for the one
-               the value index answered, required for the rest. *)
+            (* Re-check every predicate per node: the value indexes give
+               a superset, the rest were not probed at all. *)
             let out =
-              List.filter_map
-                (fun id ->
+              Array.fold_right
+                (fun id acc ->
                   let node = Idx_guide.node guide id in
                   if List.for_all (node_pred_holds node) preds then
                     (* Same XML round-trip the walker's results take, so
                        answers are byte-identical. *)
-                    Some (Dtree.of_xml_element (Dtree.to_xml_element node))
-                  else None)
-                ids
+                    Dtree.of_xml_element (Dtree.to_xml_element node) :: acc
+                  else acc)
+                ids []
             in
             tick (match outcome with Value -> c_value_hits | Guide -> c_guide_hits);
             Some (out, outcome))
@@ -425,6 +481,12 @@ let try_select tree path =
 (* ------------------------------------------------------------------ *)
 (* Estimation                                                          *)
 (* ------------------------------------------------------------------ *)
+
+(* How many nodes one built value index admits across the forest; an
+   interval is counted by binary search. *)
+let index_count idx = function
+  | Range_probe (lo, hi) -> Idx_value.range_count idx lo hi
+  | Cmp_probe (op, rhs) -> List.length (Option.value ~default:[] (Idx_value.probe idx op rhs))
 
 let estimate name path =
   if Atomic.get mode_a = Off then None
@@ -438,40 +500,30 @@ let estimate name path =
       | None -> None (* estimation never forces a build *)
       | Some guide -> (
         let stripped, preds = split_preds path in
-        match Idx_guide.count guide stripped with
-        | None -> None
-        | Some n -> (
-          match value_probe_of preds with
-          | None -> Some (float_of_int n)
-          | Some (kind, op, rhs) -> (
-            (* Refine through a value index only if one is already
-               built for every matching key. *)
-            match Idx_guide.matching_keys guide stripped with
-            | None -> Some (float_of_int n)
-            | Some keys ->
-              let kstr = Idx_value.kind_to_string kind in
-              let refined =
-                Mutex.lock e.e_lock;
-                let r =
+        match Idx_guide.count guide stripped, Idx_guide.matching_keys guide stripped with
+        | None, _ -> None
+        | Some n, None -> Some (float_of_int n)
+        | Some n, Some keys ->
+          (* Each predicate whose value index is built for every
+             matching key bounds the count; keep the tightest. *)
+          Mutex.lock e.e_lock;
+          let best =
+            List.fold_left
+              (fun best (kind, probe) ->
+                let kstr = Idx_value.kind_to_string kind in
+                let total =
                   List.fold_left
                     (fun acc key ->
-                      match acc with
-                      | None -> None
-                      | Some total -> (
-                        match Hashtbl.find_opt e.e_values (key, kstr) with
-                        | None -> None
-                        | Some idx -> (
-                          match Idx_value.probe idx op rhs with
-                          | None -> None
-                          | Some ids -> Some (total + List.length ids))))
+                      match acc, Hashtbl.find_opt e.e_values (key, kstr) with
+                      | Some total, Some idx -> Some (total + index_count idx probe)
+                      | _, _ -> None)
                     (Some 0) keys
                 in
-                Mutex.unlock e.e_lock;
-                r
-              in
-              (match refined with
-              | Some k -> Some (float_of_int k)
-              | None -> Some (float_of_int n))))))
+                match total with Some k -> min best k | None -> best)
+              n (value_probes preds)
+          in
+          Mutex.unlock e.e_lock;
+          Some (float_of_int best)))
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)

@@ -63,15 +63,18 @@ type outcome = Value | Guide
 (** [try_select tree path] answers [Xml_path.select path] over a
     registered root from its indexes: [Some (results, outcome)] with the
     result nodes in document order, re-imported through the same
-    XML round-trip as the walker so answers are byte-identical.  [None]
+    XML round-trip as the walker so answers are byte-identical.  Every
+    value-answerable final-step predicate is probed and the id sets
+    intersected; each candidate is then re-checked exactly.  [None]
     when indexing is off, [tree] is not a registered root, or the path
     is outside the indexable subset — callers must then run the walker. *)
 val try_select : Dtree.t -> Xml_path.t -> (Dtree.t list * outcome) option
 
 (** Index-backed cardinality: exact matching-node count from [name]'s
-    built guide, refined by a value probe when one applies and its index
-    is already built.  [None] when unknown (no entry, guide not built,
-    or unsupported path) — estimation never forces a build. *)
+    built guide, bounded by every value-answerable predicate whose index
+    is already built (the tightest wins; a numeric range is counted by
+    binary search).  [None] when unknown (no entry, guide not built, or
+    unsupported path) — estimation never forces a build. *)
 val estimate : string -> Xml_path.t -> float option
 
 (** Cumulative [(guide_hits, value_hits, misses)] — snapshot around a

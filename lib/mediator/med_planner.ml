@@ -149,7 +149,7 @@ let clause_access opts catalog (clause : Xq_ast.clause) candidates =
       | Source.Xml_store ->
         (* Path preselection when the store accepts it. *)
         if src.Source.capability.Source.can_path && opts.Med_sqlgen.pushdown_select then
-          match Med_pathgen.compile_pattern clause.Xq_ast.clause_pattern with
+          match Med_pathgen.compile_pattern clause.Xq_ast.clause_pattern candidates with
           | Some path ->
             ( A_path
                 { source_name = src.Source.name; export; path;

@@ -4,7 +4,7 @@ let value_literal v =
   | Value.Bool true -> "TRUE"
   | Value.Bool false -> "FALSE"
   | Value.Int i -> string_of_int i
-  | Value.Float f -> Printf.sprintf "%g" f
+  | Value.Float _ -> Value.to_string v
   | Value.String s ->
     let buf = Buffer.create (String.length s + 2) in
     Buffer.add_char buf '\'';

@@ -23,4 +23,6 @@ val canonical_select : Sql_ast.select -> string
 
 val value_literal : Value.t -> string
 (** SQL literal syntax for a value (strings quoted with [''] doubling,
-    dates as [DATE '...']). *)
+    dates as [DATE '...']).  Floats print as {!Value.to_string} does:
+    the shortest text that lexes back as the same [FLOAT], so [1.0]
+    stays a float literal and [119.9999999] keeps its digits. *)

@@ -16,6 +16,15 @@ type test =
 
 type cmp_op = Eq | Neq | Lt | Le | Gt | Ge
 
+type range_on =
+  | On_child of string
+  | On_attr of string
+
+type bound = {
+  value : Xml_num.t;
+  strict : bool;
+}
+
 type pred =
   | Has_attr of string
   | Attr_cmp of string * cmp_op * string
@@ -23,6 +32,7 @@ type pred =
   | Child_cmp of string * cmp_op * string
   | Text_cmp of cmp_op * string
   | Position of int
+  | Num_range of range_on * bound option * bound option
 
 type step = {
   axis : axis;
@@ -142,6 +152,50 @@ let read_rhs st =
     String.sub st.input start (st.pos - start)
   end
 
+(* [lo,hi) after "in": brackets give inclusiveness, an empty side is
+   unbounded, numbers read back by [Xml_num.of_text]. *)
+let read_range st on =
+  eat st "in";
+  skip_ws st;
+  let lo_strict =
+    match peek st with
+    | '[' -> false
+    | '(' -> true
+    | _ -> pfail "expected '[' or '(' to open a range"
+  in
+  advance st;
+  let read_num stop =
+    skip_ws st;
+    let start = st.pos in
+    while st.pos < st.len && not (List.mem (peek st) stop) do
+      advance st
+    done;
+    match String.trim (String.sub st.input start (st.pos - start)) with
+    | "" -> None
+    | text -> (
+      match Xml_num.of_text text with
+      | Some n -> Some n
+      | None -> pfail (Printf.sprintf "expected a number, got %S" text))
+  in
+  let lo = read_num [ ',' ] in
+  eat st ",";
+  let hi = read_num [ ']'; ')' ] in
+  let hi_strict =
+    match peek st with
+    | ']' -> false
+    | ')' -> true
+    | _ -> pfail "expected ']' or ')' to close a range"
+  in
+  advance st;
+  let mk strict = Option.map (fun value -> { value; strict }) in
+  Num_range (on, mk lo_strict lo, mk hi_strict hi)
+
+let looking_at_in st =
+  looking_at st "in"
+  && st.pos + 2 < st.len
+  && (let c = st.input.[st.pos + 2] in
+      c = ' ' || c = '[' || c = '(')
+
 let read_pred st =
   eat st "[";
   skip_ws st;
@@ -151,6 +205,7 @@ let read_pred st =
       let name = read_name st in
       skip_ws st;
       if peek st = ']' then Has_attr name
+      else if looking_at_in st then read_range st (On_attr name)
       else begin
         let op = read_op st in
         let rhs = read_rhs st in
@@ -177,6 +232,7 @@ let read_pred st =
       let name = read_name st in
       skip_ws st;
       if peek st = ']' then Child_exists name
+      else if looking_at_in st then read_range st (On_child name)
       else begin
         let op = read_op st in
         let rhs = read_rhs st in
@@ -322,6 +378,12 @@ let pred_to_string = function
   | Child_cmp (n, op, v) -> Printf.sprintf "[%s%s'%s']" n (op_to_string op) v
   | Text_cmp (op, v) -> Printf.sprintf "[text()%s'%s']" (op_to_string op) v
   | Position k -> Printf.sprintf "[position()=%d]" k
+  | Num_range (on, lo, hi) ->
+    let target = match on with On_child n -> n | On_attr n -> "@" ^ n in
+    let side = function None -> "" | Some b -> Xml_num.to_string b.value in
+    let opens = match lo with Some { strict = false; _ } -> "[" | _ -> "(" in
+    let closes = match hi with Some { strict = false; _ } -> "]" | _ -> ")" in
+    Printf.sprintf "[%s in %s%s,%s%s]" target opens (side lo) (side hi) closes
 
 let step_to_string s =
   Printf.sprintf "%s::%s%s" (axis_to_string s.axis) (test_to_string s.test)
@@ -350,6 +412,38 @@ let compare_values op lhs rhs =
   | Gt -> c > 0
   | Ge -> c >= 0
 
+let in_range lo hi v =
+  (match lo with
+   | None -> true
+   | Some b ->
+     let c = Xml_num.compare v b.value in
+     if b.strict then c > 0 else c >= 0)
+  && (match hi with
+     | None -> true
+     | Some b ->
+       let c = Xml_num.compare v b.value in
+       if b.strict then c < 0 else c <= 0)
+
+let range_admits lo hi = function
+  | None -> true
+  | Some v -> in_range lo hi v
+
+(* The element's content as [Dtree.of_xml_element] reads it: comments,
+   PIs and whitespace-only text dropped; numeric only when what is left
+   is one text node that [Xml_num.of_text] accepts. *)
+let element_number e =
+  let kept =
+    List.filter
+      (function
+        | Xml_types.Comment _ | Xml_types.Pi _ -> false
+        | Xml_types.Text s -> String.trim s <> ""
+        | Xml_types.Cdata _ | Xml_types.Element _ -> true)
+      e.Xml_types.children
+  in
+  match kept with
+  | [ (Xml_types.Text s | Xml_types.Cdata s) ] -> Xml_num.of_text s
+  | _ -> None
+
 let pred_holds cursor position p =
   let e = Xml_cursor.element cursor in
   match p with
@@ -365,6 +459,14 @@ let pred_holds cursor position p =
       (Xml_types.children_named e n)
   | Text_cmp (op, rhs) -> compare_values op (Xml_types.text_content e) rhs
   | Position k -> position = k
+  | Num_range (On_child n, lo, hi) ->
+    List.exists
+      (fun c -> range_admits lo hi (element_number c))
+      (Xml_types.children_named e n)
+  | Num_range (On_attr n, lo, hi) -> (
+    match Xml_types.attr e n with
+    | Some v -> range_admits lo hi (Xml_num.of_text v)
+    | None -> false)
 
 let axis_candidates axis cursor =
   match axis with

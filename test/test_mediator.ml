@@ -265,6 +265,94 @@ let test_path_pushdown_ships_fewer_nodes () =
   check bool_t "path preselection ships fewer nodes" true (pushed < shipped);
   check bool_t "matches reference" true (agree cat query)
 
+(* Numeric WHERE comparisons on a root child or attribute become one
+   interval per variable; the conditions themselves stay residual. *)
+let test_compile_derives_ranges () =
+  let cat = make_catalog () in
+  let path_of text =
+    let compiled = Med_planner.compile cat (q text) in
+    match compiled.Med_planner.accesses with
+    | [ (_, Med_planner.A_path { path; _ }) ] ->
+      (Xml_path.to_string path, List.length compiled.Med_planner.residual_conditions)
+    | _ -> Alcotest.fail "expected a path access"
+  in
+  let path, residual =
+    path_of
+      {|WHERE <product sku=$s><price>$p</price></product> IN "products.catalog",
+          $p >= 19, 29 > $p, $p < 50.5 AND $p > 10
+        CONSTRUCT <p>$s</p>|}
+  in
+  check string_t "one interval, tightest bounds"
+    "/descendant-or-self::product[@sku][price in [19,29)]" path;
+  check int_t "conditions stay residual" 3 residual;
+  let path, _ =
+    path_of
+      {|WHERE <product sku=$s><price>$p</price></product> IN "products.catalog",
+          $p = 70.0, $s != "x", $p != 3
+        CONSTRUCT <p>$s</p>|}
+  in
+  check string_t "equality is a closed interval; != and strings stay out"
+    "/descendant-or-self::product[@sku][price in [70.0,70.0]]" path;
+  let path, _ =
+    path_of
+      {|WHERE <product sku=$s><price>$p</price></product> IN "products.catalog",
+          $s > 3, $p <= -2, $p < 9007199254740993
+        CONSTRUCT <p>$s</p>|}
+  in
+  check string_t "attribute range; big int bound widened to a float"
+    "/descendant-or-self::product[@sku in (3,)][price in (,-2]]" path;
+  let path, _ =
+    path_of
+      {|WHERE <product sku=$s><price>$p</price></product> IN "products.catalog",
+          $p >= 9007199254740993
+        CONSTRUCT <p>$s</p>|}
+  in
+  check string_t "beyond 2^53: inclusive float bound"
+    "/descendant-or-self::product[@sku][price in [9007199254740992.0,)]" path;
+  let path, _ =
+    path_of
+      {|WHERE <product><info><price>$p</price></info></product> IN "products.catalog",
+          $p > 3
+        CONSTRUCT <p>$p</p>|}
+  in
+  check string_t "only root children carry ranges" "/descendant-or-self::product[info]" path
+
+(* A float literal keeps its digits in the shipped SQL: printed with %g,
+   119.9999999 became 120 and order 103 (amount 120.0) was dropped. *)
+let test_float_literal_pushdown () =
+  let cat = make_catalog () in
+  let text =
+    {|WHERE <row><oid>$o</oid><amount>$a</amount></row> IN "crm.orders", $a > 119.9999999
+      CONSTRUCT <r>$o</r>|}
+  in
+  check bool_t "literal shipped exactly" true
+    (contains (Med_exec.explain_text cat text) "amount > 119.9999999");
+  let got = List.sort compare (List.map Dtree.text (Med_exec.run cat (q text))) in
+  check (Alcotest.list string_t) "order 103 kept" [ "100"; "102"; "103" ] got;
+  check bool_t "matches reference" true (agree cat (q text))
+
+(* Path results cross Dtree -> XML -> Dtree; a float must print so that
+   it reads back as itself (it came back as 1234570.0). *)
+let test_xml_float_survives_pushdown () =
+  List.iter
+    (fun mode ->
+      Idx_manager.clear ();
+      Idx_manager.set_mode mode;
+      let cat = Med_catalog.create () in
+      Med_catalog.register_source cat
+        (Xml_source.of_xml_strings ~name:"shop"
+           [ ("p", {|<catalog><product sku="a"><price>1234567.5</price></product></catalog>|}) ]);
+      let got =
+        Med_exec.run cat
+          (q {|WHERE <product sku=$s><price>$p</price></product> IN "shop.p" CONSTRUCT <r>$p</r>|})
+      in
+      check (Alcotest.list string_t)
+        ("exact under index " ^ Idx_manager.mode_to_string mode)
+        [ "1234567.5" ] (List.map Dtree.text got))
+    [ Idx_manager.Off; Idx_manager.Auto ];
+  Idx_manager.clear ();
+  Idx_manager.set_mode Idx_manager.Auto
+
 let test_compile_nested_pattern_falls_back () =
   let cat = make_catalog () in
   (* content binding under row is not relational: falls back to match *)
@@ -688,6 +776,10 @@ let () =
           Alcotest.test_case "sql pushdown" `Quick test_compile_pushes_sql;
           Alcotest.test_case "pushdown disabled" `Quick test_compile_no_pushdown_option;
           Alcotest.test_case "xml uses path preselection" `Quick test_compile_xml_uses_path;
+          Alcotest.test_case "numeric ranges reach the path" `Quick test_compile_derives_ranges;
+          Alcotest.test_case "float literal pushdown" `Quick test_float_literal_pushdown;
+          Alcotest.test_case "xml float survives pushdown" `Quick
+            test_xml_float_survives_pushdown;
           Alcotest.test_case "path pushdown ships fewer nodes" `Quick
             test_path_pushdown_ships_fewer_nodes;
           Alcotest.test_case "non-relational pattern falls back" `Quick

@@ -443,6 +443,73 @@ let test_plan_cache_inlines_nonrebindable () =
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* A lens whose parameter lands in a pushed path: the numeric range on
+   <price> carries the sentinel the plan was compiled against.  The
+   leak check must see it there (the path is not rebound structurally),
+   so the shape falls back to value-keyed entries, and every warm answer
+   still equals a cold compile's, on every engine. *)
+let test_plan_cache_param_in_pushed_path () =
+  let lens =
+    Fe_lens.make ~name:"cheap"
+      ~params:
+        [
+          Fe_lens.param ~default:(Value.Int 100) "max" Value.TInt;
+          Fe_lens.param ~default:(Value.Float 0.5) "min" Value.TFloat;
+        ]
+      [
+        ( "under",
+          {|WHERE <product sku=$s><price>$p</price></product> IN "products.catalog", $p < %max%
+            CONSTRUCT <item><sku>$s</sku><price>$p</price></item>|} );
+        ( "over",
+          {|WHERE <product sku=$s><price>$p</price></product> IN "products.catalog", %min% <= $p
+            CONSTRUCT <item><sku>$s</sku></item>|} );
+      ]
+  in
+  let xml =
+    {|<catalog><product sku="widget"><price>25</price></product><product sku="server"><price>4500</price></product><product sku="gizmo"><price>64.5</price></product><product sku="odd"><price>n/a</price></product></catalog>|}
+  in
+  let calls =
+    [
+      ("under", [ ("max", "30") ]); ("under", [ ("max", "100") ]); ("under", [ ("max", "5000") ]);
+      ("under", [ ("max", "30") ]); ("over", [ ("min", "25.5") ]); ("over", [ ("min", "64.5") ]);
+      ("over", [ ("min", "0.0") ]); ("over", [ ("min", "64.5") ]);
+    ]
+  in
+  List.iter
+    (fun engine ->
+      let cat = Med_catalog.create () in
+      Med_catalog.register_source cat
+        (Xml_source.of_xml_strings ~name:"products" [ ("catalog", xml) ]);
+      Med_catalog.set_exec_mode cat engine;
+      let warm = Srv_plancache.create cat and cold = Srv_plancache.create ~capacity:0 cat in
+      let answer pc (query, args) =
+        let compiled, _ = Srv_plancache.lookup pc ~lens ~query ~args in
+        String.concat "\n"
+          (List.map Dtree.to_string (Med_exec.run_compiled cat compiled).Med_exec.trees)
+      in
+      let reference (query, args) =
+        let q = Fe_lens.instantiate lens query args in
+        String.concat "\n"
+          (List.sort compare
+             (List.map Dtree.to_string (Xq_eval.eval (Med_exec.direct_resolver cat) q)))
+      in
+      let sorted text = String.concat "\n" (List.sort compare (String.split_on_char '\n' text)) in
+      List.iter
+        (fun call ->
+          let label = Printf.sprintf "%s %s" (fst call) (snd (List.hd (snd call))) in
+          let cold_answer = answer cold call in
+          check string_t (label ^ ": cold = reference") (reference call) (sorted cold_answer);
+          check string_t (label ^ ": warm = cold") cold_answer (answer warm call))
+        calls;
+      let s = Srv_plancache.stats warm in
+      check int_t "both shapes fall back" 2 s.Srv_plancache.fallbacks;
+      (* The first run builds the numeric value index, which moves the
+         index epoch and retires the entries compiled before it. *)
+      check bool_t "a repeated valuation hits its exact entry" true (s.Srv_plancache.hits >= 1);
+      check bool_t "value-keyed entries" true
+        (contains (Srv_plancache.report warm) "exact cheap/under?max=30"))
+    [ Alg_batch.Tuple; Alg_batch.Batch { chunk = 2 }; Alg_batch.Parallel { domains = 2; chunk = 1 } ]
+
 let test_dispatch_balances_and_reports () =
   let config =
     { (roomy 2) with Srv_dispatch.service_overhead_ms = 2.0 }
@@ -607,6 +674,8 @@ let () =
             test_plan_cache_invalidation_and_lru;
           Alcotest.test_case "non-rebindable values inline" `Quick
             test_plan_cache_inlines_nonrebindable;
+          Alcotest.test_case "parameter inside a pushed path" `Quick
+            test_plan_cache_param_in_pushed_path;
         ] );
       ( "dispatch",
         [

@@ -267,7 +267,10 @@ let test_path_parse_errors () =
       match Xml_path.parse s with
       | Ok _ -> Alcotest.failf "expected parse failure for %S" s
       | Error _ -> ())
-    [ ""; "/"; "//"; "/a[" ; "/a[@]"; "/a[position()='x']"; "/unknown::a" ]
+    [
+      ""; "/"; "//"; "/a[" ; "/a[@]"; "/a[position()='x']"; "/unknown::a";
+      "/a[b in [1,2]"; "/a[b in [x,2]]"; "/a[b in 1,2]]"; "/a[b in [1;2]]";
+    ]
 
 let test_path_roundtrip () =
   List.iter
@@ -275,7 +278,82 @@ let test_path_roundtrip () =
       let p = Xml_path.parse_exn s in
       let p' = Xml_path.parse_exn (Xml_path.to_string p) in
       check string_t ("path roundtrip " ^ s) (Xml_path.to_string p) (Xml_path.to_string p'))
-    [ "/a/b"; "//x[@id='3']"; "a/b[text()='t']/.."; "/s/book[position()=2]" ]
+    [
+      "/a/b"; "//x[@id='3']"; "a/b[text()='t']/.."; "/s/book[position()=2]";
+      "//p[price in [19,29)]"; "//p[price in (19.0,29.5]][@n in (,-2)]";
+      "//p[@y in [1995,)]"; "//p[q in [9007199254740993,9007199254740992.0]]";
+      "//p[q in (-0.0,1e+300)]"; "//p[q in (,)]";
+    ]
+
+(* A range must print exactly: the printed path keys the fragment cache,
+   so two different bounds printing alike would share cached answers. *)
+let test_path_range_prints_exactly () =
+  let range lo hi =
+    let b (v, strict) = { Xml_path.value = v; strict } in
+    {
+      Xml_path.absolute = true;
+      steps =
+        [
+          {
+            Xml_path.axis = Xml_path.Descendant_or_self;
+            test = Xml_path.Name "p";
+            preds =
+              [ Xml_path.Num_range (Xml_path.On_child "price", Option.map b lo, Option.map b hi) ];
+          };
+        ];
+    }
+  in
+  let cases =
+    [
+      range (Some (Xml_num.Int 19, false)) None;
+      range (Some (Xml_num.Float 19.0, false)) None;
+      range (Some (Xml_num.Int 19, true)) None;
+      range None (Some (Xml_num.Int 19, true));
+      range None (Some (Xml_num.Int 19, false));
+      range (Some (Xml_num.Float 0.1, false)) (Some (Xml_num.Float 0.30000000000000004, true));
+      range (Some (Xml_num.Float 0.3, false)) (Some (Xml_num.Float 0.30000000000000004, true));
+      range (Some (Xml_num.Float 1234567.5, false)) (Some (Xml_num.Float 1234567.0, false));
+      range (Some (Xml_num.Int 9007199254740993, false)) None;
+      range (Some (Xml_num.Int 9007199254740992, false)) None;
+    ]
+  in
+  let printed = List.map Xml_path.to_string cases in
+  check int_t "all distinct" (List.length cases)
+    (List.length (List.sort_uniq String.compare printed));
+  List.iter2
+    (fun p s -> check bool_t ("parses back equal: " ^ s) true (Xml_path.parse_exn s = p))
+    cases printed
+
+(* Ranges admit a node when some named child is in the interval or is not
+   a single numeric atom; a missing child fails. *)
+let test_path_range_semantics () =
+  let root =
+    parse
+      {|<r><p id="a"><price>25</price></p><p id="b"><price>abc</price></p><p id="c"><price> </price></p><p id="d"/><p id="e"><price>5</price><price>22</price></p><p id="f"><price><x>1</x></price></p><p id="g"><price>1<!--c-->9</price></p><p id="h"><price>50</price></p><p id="i"><price> 20</price></p><p id="j"><price>20 </price></p><p id="k"><price>19</price></p><p id="l" n="21"/><p id="m" n="x"/></r>|}
+  in
+  let ids path = List.filter_map (fun e -> Xml_types.attr e "id") (select path root) in
+  check (Alcotest.list string_t) "child range" [ "a"; "b"; "c"; "e"; "f"; "g"; "i"; "j" ]
+    (ids "/p[price in (19,29)]");
+  check (Alcotest.list string_t) "inclusive bound" [ "a"; "b"; "c"; "e"; "f"; "g"; "i"; "j"; "k" ]
+    (ids "/p[price in [19,29)]");
+  check (Alcotest.list string_t) "attribute range" [ "l"; "m" ] (ids "/p[@n in [20.5,)]")
+
+let test_num_float_printing () =
+  List.iter
+    (fun (f, want) -> check string_t want want (Xml_num.float_to_string f))
+    [
+      (55.0, "55.0"); (2.5, "2.5"); (1234567.5, "1234567.5"); (119.9999999, "119.9999999");
+      (-0.0, "-0.0"); (1e15, "1e+15"); (0.1, "0.1"); (nan, "nan"); (infinity, "inf");
+      (neg_infinity, "-inf"); (1234567890123456.0, "1234567890123456.0");
+    ]
+
+let prop_float_text_roundtrip =
+  QCheck2.Test.make ~name:"float text reads back as the same float" ~count:500
+    QCheck2.Gen.(oneof [ float; map (fun i -> float_of_int i /. 10.0) int; map Int64.float_of_bits int64 ])
+    (fun f ->
+      match Xml_num.of_text (Xml_num.float_to_string f) with
+      | Some (Xml_num.Float g) -> Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g) || (Float.is_nan f && Float.is_nan g)
+      | Some (Xml_num.Int _) | None -> false)
 
 let test_path_matches () =
   check bool_t "matches" true (Xml_path.matches (Xml_path.parse_exn "//book") (sample ()));
@@ -326,7 +404,10 @@ let test_pretty_parses_back () =
   check int_t "same book count" 3 (List.length (select "//book" e'))
 
 let () =
-  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_print_parse_roundtrip; prop_count_nodes_positive ] in
+  let qsuite =
+    List.map QCheck_alcotest.to_alcotest
+      [ prop_print_parse_roundtrip; prop_count_nodes_positive; prop_float_text_roundtrip ]
+  in
   Alcotest.run "xml"
     [
       ( "parser",
@@ -373,6 +454,9 @@ let () =
           Alcotest.test_case "numeric comparison" `Quick test_path_numeric_compare;
           Alcotest.test_case "parse errors" `Quick test_path_parse_errors;
           Alcotest.test_case "roundtrip" `Quick test_path_roundtrip;
+          Alcotest.test_case "range prints exactly" `Quick test_path_range_prints_exactly;
+          Alcotest.test_case "range semantics" `Quick test_path_range_semantics;
+          Alcotest.test_case "float printing" `Quick test_num_float_printing;
           Alcotest.test_case "matches" `Quick test_path_matches;
           Alcotest.test_case "descendant set semantics" `Quick
             test_path_descendant_set_semantics;
