@@ -20,11 +20,13 @@ type t = {
 let create ?(name = "nimble") ?(cache_capacity = 64) ?cache_ttl_ms ?(frag_capacity = 0)
     ?frag_ttl_ms ?(sem_budget_bytes = 0) () =
   let cat = Med_catalog.create ?frag_ttl_ms ~frag_capacity ~sem_budget_bytes () in
+  let results = Mat_cache.create ?ttl_ms:cache_ttl_ms ~capacity:cache_capacity () in
+  Med_catalog.on_mutation cat (fun name -> ignore (Mat_cache.invalidate_source results name));
   {
     sys_name = name;
     cat;
     mat = Mat_store.create cat;
-    results = Mat_cache.create ?ttl_ms:cache_ttl_ms ~capacity:cache_capacity ();
+    results;
     accounts = Fe_auth.create ();
     lenses = Hashtbl.create 8;
     cleaners = Hashtbl.create 4;
@@ -256,39 +258,23 @@ let load_config t script =
   in
   run_lines (String.split_on_char '\n' script)
 
-(* Source closure of a query: clause sources plus, through views, the
-   base sources they read — the invalidation tags of cached entries. *)
+(* Source closure of a query: its clause sources and everything they
+   read through views and cleaned sources — the invalidation tags of its
+   cached result. *)
 let rec source_closure t q =
-  List.concat_map
-    (fun src_name ->
-      match Med_catalog.find_view t.cat src_name with
-      | Some v ->
-        src_name :: List.concat_map (source_closure t) v.Med_catalog.definitions
-      | None -> (
-        match Hashtbl.find_opt t.cleaners src_name with
-        (* Cleaned sources read through their base query, so updates to
-           the underlying sources must invalidate them too. *)
-        | Some cleaner -> src_name :: source_closure t cleaner.cl_query
-        | None -> (
-          match String.index_opt src_name '.' with
-          | Some i -> [ src_name; String.sub src_name 0 i ]
-          | None -> [ src_name ])))
-    (Xq_ast.all_sources_of q)
-  |> List.sort_uniq String.compare
+  Med_catalog.closure t.cat (Xq_ast.all_sources_of q)
+  |> List.concat_map (fun name ->
+         match Hashtbl.find_opt t.cleaners name with
+         | Some cleaner -> name :: source_closure t cleaner.cl_query
+         | None -> [ name ])
 
-(* Both cache levels: whole-query results above, raw source fragments
-   below.  The return counts query-level entries (the historical
-   contract); fragment drops are visible in the fragcache counters. *)
+(* Every cache hears the update through the catalog.  The return
+   counts query-level entries (the historical contract); fragment drops
+   are visible in the fragcache counters. *)
 let invalidate_source t source_name =
-  let frag_dropped =
-    Frag_cache.invalidate_source (Med_catalog.frag_cache t.cat) source_name
-  in
-  ignore frag_dropped;
-  let dropped = Mat_cache.invalidate_source t.results source_name in
-  (* Catalog subscribers (the concurrency server's plan cache) evict
-     their own artifacts for this source. *)
+  let before = Mat_cache.size t.results in
   Med_catalog.notify_invalidation t.cat source_name;
-  dropped
+  before - Mat_cache.size t.results
 
 (* ------------------------------------------------------------------ *)
 (* Fetch scheduling                                                    *)
@@ -309,22 +295,9 @@ let sem_cache t = Med_catalog.sem_cache t.cat
 let sem_report t = Sem_cache.report (Med_catalog.sem_cache t.cat) ^ "\n"
 
 let fetch_report t =
-  let fo = Med_catalog.fetch_options t.cat in
-  let frag = Med_catalog.frag_cache t.cat in
-  let st = Frag_cache.stats frag in
-  let ttl =
-    match Frag_cache.ttl_ms frag with
-    | None -> ""
-    | Some ms -> Printf.sprintf " ttl=%.0fms" ms
-  in
-  Printf.sprintf
-    "fetch: %s\n\
-     fragment cache: %d/%d entries,%s hits=%d misses=%d evictions=%d \
-     expirations=%d invalidations=%d\n"
-    (Fetch_sched.options_to_string fo)
-    (Frag_cache.size frag) (Frag_cache.capacity frag) ttl st.Frag_cache.frag_hits
-    st.Frag_cache.frag_misses st.Frag_cache.frag_evictions
-    st.Frag_cache.frag_expirations st.Frag_cache.frag_invalidations
+  Printf.sprintf "fetch: %s\nfragment cache: %s\n"
+    (Fetch_sched.options_to_string (Med_catalog.fetch_options t.cat))
+    (Frag_cache.summary (Med_catalog.frag_cache t.cat))
 
 (* ------------------------------------------------------------------ *)
 (* Retry & resilience                                                  *)
@@ -419,14 +392,16 @@ let parse_query text =
   | Ok q -> Ok q
   | Error m -> Error m
 
+(* Strict execution behind the result cache. *)
+let run_cached t key q =
+  Mat_store.tick t.mat;
+  Mat_cache.get_or_compute t.results ~sources:(source_closure t q) key (fun () ->
+      Med_exec.run ~view_lookup:(view_lookup t) t.cat q)
+
 let query t text =
   match parse_query text with
   | Error m -> Error m
-  | Ok q ->
-    guard (fun () ->
-        Mat_store.tick t.mat;
-        Mat_cache.get_or_compute t.results ~sources:(source_closure t q) text (fun () ->
-            Med_exec.run ~view_lookup:(view_lookup t) t.cat q))
+  | Ok q -> guard (fun () -> run_cached t text q)
 
 let query_partial_ex t text =
   match parse_query text with
@@ -528,10 +503,5 @@ let run_lens t ~user ~password ~lens ~query:query_name args =
       else
         guard (fun () ->
             let q = Fe_lens.instantiate l query_name args in
-            Mat_store.tick t.mat;
-            let key = Xq_pretty.query_to_string q in
-            let trees =
-              Mat_cache.get_or_compute t.results ~sources:(source_closure t q) key
-                (fun () -> Med_exec.run ~view_lookup:(view_lookup t) t.cat q)
-            in
+            let trees = run_cached t (Xq_pretty.query_to_string q) q in
             Fe_format.render l.Fe_lens.device trees))

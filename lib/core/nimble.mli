@@ -65,8 +65,8 @@ val dematerialize_view : t -> string -> unit
 val invalidate_source : t -> string -> int
 (** Drop cached results computed from the named source (call after
     out-of-band updates); returns how many query-level entries were
-    dropped.  Fragment-cache and semantic-cache entries for the source
-    are dropped too (two-level invalidation). *)
+    dropped.  One {!Med_catalog.notify_invalidation} reaches every
+    cache: semantic extents, fragments, plans and results. *)
 
 (** {1 Fetch scheduling} *)
 

@@ -73,17 +73,7 @@ let materialization_report store =
   Buffer.contents buf
 
 let cache_report cache =
-  let st = Mat_cache.stats cache in
-  let ttl =
-    match Mat_cache.ttl_ms cache with
-    | None -> ""
-    | Some ms -> Printf.sprintf " ttl=%.0fms" ms
-  in
-  Printf.sprintf
-    "result cache: %d/%d entries,%s hits=%d misses=%d evictions=%d expirations=%d invalidations=%d (hit rate %.1f%%)\n"
-    (Mat_cache.size cache) (Mat_cache.capacity cache) ttl st.Mat_cache.cache_hits
-    st.Mat_cache.cache_misses st.Mat_cache.evictions st.Mat_cache.expirations
-    st.Mat_cache.invalidations
+  Printf.sprintf "result cache: %s (hit rate %.1f%%)\n" (Mat_cache.summary cache)
     (100.0 *. Mat_cache.hit_rate cache)
 
 let system_report catalog ?store ?cache () =

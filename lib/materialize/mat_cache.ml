@@ -6,100 +6,16 @@ type stats = {
   mutable invalidations : int;
 }
 
-(* Local per-cache stats stay the source of truth; the process-wide
-   registry mirrors them so cache behaviour shows up in `stats` reports
-   next to source and mediator counters. *)
-let m_hits = Obs_metrics.counter "cache.hits"
-let m_misses = Obs_metrics.counter "cache.misses"
-let m_evictions = Obs_metrics.counter "cache.evictions"
-let m_expirations = Obs_metrics.counter "cache.expirations"
-let m_invalidations = Obs_metrics.counter "cache.invalidations"
+type t = (string, Dtree.t list) Lru.t
 
-type entry = {
-  value : Dtree.t list;
-  entry_sources : string list;
-  born_vms : float;
-  mutable last_used : int;
-}
+(* One family for every result cache, so cache behaviour shows up in
+   `stats` reports next to source and mediator counters. *)
+let family = Lru.metrics "cache"
 
-type t = {
-  cap : int;
-  ttl_ms : float option;
-  table : (string, entry) Hashtbl.t;
-  st : stats;
-  mutable clock : int;
-}
+let create ?ttl_ms ~capacity () = Lru.create ?ttl_ms ~metrics:family ~capacity ()
 
-let create ?ttl_ms ~capacity () =
-  {
-    cap = capacity;
-    ttl_ms;
-    table = Hashtbl.create (max 1 capacity);
-    st =
-      {
-        cache_hits = 0;
-        cache_misses = 0;
-        evictions = 0;
-        expirations = 0;
-        invalidations = 0;
-      };
-    clock = 0;
-  }
-
-let touch t entry =
-  t.clock <- t.clock + 1;
-  entry.last_used <- t.clock
-
-(* Freshness ages on the *virtual* clock, so TTL semantics are
-   deterministic under the network simulator (and in tests). *)
-let expired t entry =
-  match t.ttl_ms with
-  | None -> false
-  | Some ttl -> Obs_clock.virtual_ms () -. entry.born_vms > ttl
-
-let get t key =
-  match Hashtbl.find_opt t.table key with
-  | Some entry when expired t entry ->
-    Hashtbl.remove t.table key;
-    t.st.expirations <- t.st.expirations + 1;
-    Obs_metrics.inc m_expirations;
-    t.st.cache_misses <- t.st.cache_misses + 1;
-    Obs_metrics.inc m_misses;
-    None
-  | Some entry ->
-    t.st.cache_hits <- t.st.cache_hits + 1;
-    Obs_metrics.inc m_hits;
-    touch t entry;
-    Some entry.value
-  | None ->
-    t.st.cache_misses <- t.st.cache_misses + 1;
-    Obs_metrics.inc m_misses;
-    None
-
-let evict_lru t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun key entry ->
-      match !victim with
-      | None -> victim := Some (key, entry.last_used)
-      | Some (_, lu) -> if entry.last_used < lu then victim := Some (key, entry.last_used))
-    t.table;
-  match !victim with
-  | Some (key, _) ->
-    Hashtbl.remove t.table key;
-    t.st.evictions <- t.st.evictions + 1;
-    Obs_metrics.inc m_evictions
-  | None -> ()
-
-let put t ?(sources = []) key value =
-  if t.cap > 0 then begin
-    if (not (Hashtbl.mem t.table key)) && Hashtbl.length t.table >= t.cap then evict_lru t;
-    let entry =
-      { value; entry_sources = sources; born_vms = Obs_clock.virtual_ms (); last_used = 0 }
-    in
-    touch t entry;
-    Hashtbl.replace t.table key entry
-  end
+let get = Lru.find
+let put t ?(sources = []) key value = Lru.add t ~tags:sources key value
 
 let get_or_compute t ?sources key compute =
   match get t key with
@@ -109,33 +25,22 @@ let get_or_compute t ?sources key compute =
     put t ?sources key v;
     v
 
-let invalidate t key =
-  if Hashtbl.mem t.table key then begin
-    Hashtbl.remove t.table key;
-    t.st.invalidations <- t.st.invalidations + 1;
-    Obs_metrics.inc m_invalidations;
-    true
-  end
-  else false
+let invalidate = Lru.invalidate
+let invalidate_source = Lru.invalidate_tag
+let clear = Lru.clear
+let size = Lru.size
+let capacity = Lru.capacity
+let ttl_ms = Lru.ttl_ms
 
-let invalidate_source t source =
-  let victims =
-    Hashtbl.fold
-      (fun key entry acc -> if List.mem source entry.entry_sources then key :: acc else acc)
-      t.table []
-  in
-  List.iter (fun k -> Hashtbl.remove t.table k) victims;
-  t.st.invalidations <- t.st.invalidations + List.length victims;
-  Obs_metrics.inc ~by:(List.length victims) m_invalidations;
-  List.length victims
+let stats t =
+  let c = Lru.counts t in
+  {
+    cache_hits = c.Lru.hits;
+    cache_misses = c.Lru.misses;
+    evictions = c.Lru.evictions;
+    expirations = c.Lru.expirations;
+    invalidations = c.Lru.invalidations;
+  }
 
-let clear t = Hashtbl.reset t.table
-
-let size t = Hashtbl.length t.table
-let capacity t = t.cap
-let ttl_ms t = t.ttl_ms
-let stats t = t.st
-
-let hit_rate t =
-  let total = t.st.cache_hits + t.st.cache_misses in
-  if total = 0 then 0.0 else float_of_int t.st.cache_hits /. float_of_int total
+let hit_rate = Lru.hit_rate
+let summary = Lru.summary

@@ -1,11 +1,15 @@
 (** LRU cache of query results (section 4: "caching and other
     performance tuning capabilities").
 
-    Keys are query texts; values are constructed result trees.  Eviction
-    is least-recently-used; entries can also carry the set of sources
-    they were computed from, so a source update invalidates exactly the
-    affected entries.  An optional TTL — measured on the {e virtual}
-    clock, {!Obs_clock.virtual_ms} — ages entries out for freshness. *)
+    Keys are query texts; values are constructed result trees.  The
+    store is the shared cache core, {!Lru}: O(1) least-recently-used
+    eviction, an optional TTL on the {e virtual} clock
+    ({!Obs_clock.virtual_ms}), and counters mirrored to the [cache.*]
+    metrics.  Each entry is tagged with the sources and views its query
+    reads, so a mutation invalidates exactly the affected entries.  The
+    facade ({!Nimble}) subscribes each result cache to
+    {!Med_catalog.notify_invalidation}, the one path by which every cache
+    hears about source updates and view definitions or drops. *)
 
 type t
 
@@ -36,7 +40,8 @@ val invalidate : t -> string -> bool
 (** Remove one entry by key; returns whether it existed. *)
 
 val invalidate_source : t -> string -> int
-(** Remove every entry tagged with the source; returns how many. *)
+(** Remove every entry tagged with the name or with a qualified
+    [name.export]; returns how many. *)
 
 val clear : t -> unit
 val size : t -> int
@@ -45,5 +50,10 @@ val capacity : t -> int
 val ttl_ms : t -> float option
 
 val stats : t -> stats
+(** A snapshot of the counters; later lookups do not change it. *)
+
 val hit_rate : t -> float
 (** Hits / (hits + misses); 0 when nothing was looked up. *)
+
+val summary : t -> string
+(** Size, TTL and counters in one line ({!Lru.summary}). *)

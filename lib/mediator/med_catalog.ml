@@ -16,7 +16,8 @@ type t = {
   mutable fetch : Fetch_sched.options;
   mutable exec : Alg_batch.mode;
   mutable listeners : (string -> unit) list;
-      (* mutation subscribers (plan caches), fired with the affected name *)
+      (* mutation subscribers (plan and result caches), fired with the
+         affected name *)
 }
 
 exception Catalog_error of string
@@ -40,14 +41,17 @@ let create ?frag_ttl_ms ?(frag_capacity = 0) ?(sem_budget_bytes = 0) () =
 
 let on_mutation t f = t.listeners <- t.listeners @ [ f ]
 
-(* Mutations invalidate the semantic cache and the source's document
-   indexes before the subscribers hear about them: a plan cache
-   re-compiling against the new catalog must not find stale extents or
-   stale index epochs.  XML stores re-register from their live trees so
-   the next probe rebuilds; anything else just loses its entries and
-   the engines fall back to walking. *)
+(* The one invalidation path.  Mutations invalidate the catalog's own
+   caches (semantic extents and raw fragments) and the source's
+   document indexes before the subscribers (plan and result caches)
+   hear about them: a plan cache re-compiling against the new catalog
+   must not find stale extents, fragments or index epochs.  XML stores
+   re-register from their live trees so the next probe rebuilds;
+   anything else just loses its entries and the engines fall back to
+   walking. *)
 let notify_invalidation t name =
   ignore (Sem_cache.invalidate_name t.sem name);
+  ignore (Frag_cache.invalidate_source t.frag name);
   Idx_manager.drop_prefix ("src:" ^ name ^ "/");
   (* Local XML stores re-register straight from their live trees — not
      through the registered source, whose network wrappers would charge
@@ -126,19 +130,15 @@ let dependencies t name =
   | None -> []
   | Some v -> view_sources v
 
+let closure t names =
+  let rec go acc name =
+    if List.mem name acc then acc else List.fold_left go (name :: acc) (dependencies t name)
+  in
+  List.fold_left go [] names
+
 (* Would defining [name := qs] introduce a cycle through existing views? *)
 let creates_cycle t name qs =
-  let rec reachable seen from =
-    if List.mem from seen then seen
-    else
-      let seen = from :: seen in
-      match find_view t from with
-      | None -> seen
-      | Some v -> List.fold_left reachable seen (view_sources v)
-  in
-  let deps = List.concat_map Xq_ast.all_sources_of qs in
-  let reached = List.fold_left reachable [] deps in
-  List.mem name reached
+  List.mem name (closure t (List.concat_map Xq_ast.all_sources_of qs))
 
 let define_union_view t ?(description = "") name qs =
   if qs = [] then fail "view %s: empty definition" name;

@@ -34,12 +34,14 @@ val on_mutation : t -> (string -> unit) -> unit
     source or view name after every {!register_source},
     {!define_view}/{!define_union_view}, {!drop_view}, and every
     explicit {!notify_invalidation}.  Consumers (the server's plan
-    cache) use it to evict artifacts compiled against stale metadata. *)
+    cache, the facade's result cache) use it to evict artifacts
+    compiled against stale metadata. *)
 
 val notify_invalidation : t -> string -> unit
-(** Tell subscribers that cached artifacts derived from [name] are
-    stale — the hook the facade's [invalidate_source] fires after an
-    out-of-band source update. *)
+(** The one invalidation path for every cache: drop the semantic
+    extents and cached fragments derived from [name], reset its
+    document indexes, then tell the subscribers.  The facade's
+    [invalidate_source] fires it after an out-of-band source update. *)
 
 val feedback : t -> Obs_feedback.t
 (** The catalog's observed-cardinality store: every execution records
@@ -156,3 +158,7 @@ val is_known_name : t -> string -> bool
 
 val dependencies : t -> string -> string list
 (** Direct sources/views a view reads from. *)
+
+val closure : t -> string list -> string list
+(** The names plus every view and source they read, transitively: the
+    invalidation tags of an artifact computed from them. *)

@@ -140,6 +140,11 @@ let frag_fetch catalog (src : Source.t) ~fragment call =
       r
     | exception (Source.Unavailable _ as e) -> stale_or_raise catalog ~source ~fragment e)
 
+(* Fragment-cache hits so far; a fetch's [cached=] cell is the
+   difference across the call.  [Frag_cache.stats] is a snapshot, so it
+   is read again after the call. *)
+let frag_hits catalog = (Frag_cache.stats (Med_catalog.frag_cache catalog)).Frag_cache.frag_hits
+
 (* [frag_fetch] of one query shipped to the source. *)
 let frag_query catalog (src : Source.t) ~fragment q =
   frag_fetch catalog src ~fragment (fun () -> src.Source.execute q)
@@ -537,12 +542,11 @@ and prefetch catalog ~opts ~view_lookup (compiled : Med_planner.compiled) =
         Fetch_sched.task_key = key;
         task_run =
           (fun () ->
-            let st = Frag_cache.stats (Med_catalog.frag_cache catalog) in
-            let h0 = st.Frag_cache.frag_hits in
+            let h0 = frag_hits catalog in
             let r =
               try Ok (run_access catalog ~opts ~view_lookup access) with e -> Error e
             in
-            [ (key, r, st.Frag_cache.frag_hits - h0) ]);
+            [ (key, r, frag_hits catalog - h0) ]);
       }
     in
     let batch_task source members =
@@ -649,8 +653,7 @@ and resolve_binds catalog ~opts ~view_lookup (compiled : Med_planner.compiled)
             run_access catalog ~opts ~view_lookup
               (Med_planner.A_sql { source_name; export; fragment; pattern })
           in
-          let st = Frag_cache.stats (Med_catalog.frag_cache catalog) in
-          let h0 = st.Frag_cache.frag_hits in
+          let h0 = frag_hits catalog in
           let result =
             match driver_result bind_driver with
             | Error e ->
@@ -704,7 +707,7 @@ and resolve_binds catalog ~opts ~view_lookup (compiled : Med_planner.compiled)
             (Med_planner.access_key access)
             {
               pf_result = result;
-              pf_info = { no_fetch with fi_cache_hits = st.Frag_cache.frag_hits - h0 };
+              pf_info = { no_fetch with fi_cache_hits = frag_hits catalog - h0 };
             }
         | _ -> ())
       binds;

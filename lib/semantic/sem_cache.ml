@@ -22,7 +22,7 @@ type t = {
   mutable used : int;
   mutable tick : int;
   st : stats;
-  outcomes : (string, outcome) Hashtbl.t;
+  outcomes : (string, outcome) Lru.t;  (* keyed by fragment text *)
 }
 
 (* Counters are process-global (get-or-create by name), so several
@@ -38,6 +38,8 @@ let m_rows_local = Obs_metrics.counter "semcache.rows_local"
 let m_rows_shipped = Obs_metrics.counter "semcache.rows_shipped"
 let m_fallbacks = Obs_metrics.counter "semcache.order_fallbacks"
 let m_view_hits = Obs_metrics.counter "semcache.view_hits"
+
+let outcome_retention = 1024
 
 let create ?(budget_bytes = 0) () =
   {
@@ -58,7 +60,7 @@ let create ?(budget_bytes = 0) () =
         sem_fallbacks = 0;
         sem_view_hits = 0;
       };
-    outcomes = Hashtbl.create 16;
+    outcomes = Lru.create ~capacity:outcome_retention ();
   }
 
 let enabled t = t.budget_bytes > 0
@@ -129,15 +131,9 @@ let admit t ?(samples = 0) e =
   end
 
 let invalidate_name t name =
-  let prefix = name ^ "." in
   let matches e =
     e.Sem_entry.entry_source = name
-    || List.exists
-         (fun x ->
-           x = name
-           || String.length x > String.length prefix
-              && String.sub x 0 (String.length prefix) = prefix)
-         e.Sem_entry.entry_exports
+    || List.exists (Lru.tag_matches name) e.Sem_entry.entry_exports
   in
   let doomed, kept = List.partition matches t.entry_list in
   t.entry_list <- kept;
@@ -152,7 +148,7 @@ let invalidate_name t name =
 let clear t =
   t.entry_list <- [];
   t.used <- 0;
-  Hashtbl.reset t.outcomes
+  Lru.clear t.outcomes
 
 let set_budget t b =
   t.budget_bytes <- max 0 b;
@@ -198,8 +194,8 @@ let outcome_cells = function
     ]
   | O_miss -> [ ("sem", "miss") ]
 
-let record_outcome t ~sql o = Hashtbl.replace t.outcomes sql o
-let last_outcome t ~sql = Hashtbl.find_opt t.outcomes sql
+let record_outcome t ~sql o = Lru.add t.outcomes sql o
+let last_outcome t ~sql = Lru.peek t.outcomes sql
 
 let report t =
   if not (enabled t) then "semantic cache: off"

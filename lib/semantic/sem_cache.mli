@@ -12,7 +12,8 @@
     {!Sem_entry.benefit} first — a frequency signal fed by recorded
     hits plus {!Obs_feedback} sample counts — with least-recent use as
     the tie-break.  All activity is published as [semcache.*] metrics
-    through {!Obs_metrics}. *)
+    through {!Obs_metrics}.  The store stays off the shared {!Lru} core,
+    whose plain recency eviction would change this admission policy. *)
 
 type t
 
@@ -81,10 +82,16 @@ val outcome_cells : outcome -> (string * string) list
 (** Report cells for EXPLAIN ANALYZE's access lines: [sem=hit local=N],
     [sem=partial local=N shipped=N remainder="..."], or [sem=miss]. *)
 
+val outcome_retention : int
+(** How many fragment texts keep an outcome (1024): the most recently
+    recorded ones, so the table stays bounded however many distinct
+    fragments a long run ships. *)
+
 val record_outcome : t -> sql:string -> outcome -> unit
 val last_outcome : t -> sql:string -> outcome option
 (** The most recent outcome per fragment text, kept for EXPLAIN ANALYZE
-    cells (the report renders what the fetch layer decided). *)
+    cells (the report renders what the fetch layer decided); [None] once
+    the text fell out of the retained window. *)
 
 val report : t -> string
 (** One-paragraph summary for the repl's [\sem]. *)

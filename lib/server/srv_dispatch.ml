@@ -32,13 +32,17 @@ type t = {
   cache : Srv_plancache.t;
   engines : engine array;
   sessions : (string, Srv_session.t) Hashtbl.t;
-  outcomes : (int, Srv_request.outcome) Hashtbl.t;
+  outcomes : (int, Srv_request.outcome) Lru.t;  (* the latest [outcome_retention] *)
   mutable next_id : int;
   mutable listener : (int -> Srv_request.outcome -> unit) option;
   m_submitted : Obs_metrics.counter;
   m_completed : Obs_metrics.counter;
   m_rejected : Obs_metrics.counter;
 }
+
+(* Well above the 1000-request windows the benchmark workloads replay, so
+   a run's own outcomes stay readable; older ones age out. *)
+let outcome_retention = 4096
 
 let create ?(config = default_config) sys =
   if config.engines < 1 then invalid_arg "Srv_dispatch.create: engines";
@@ -62,7 +66,7 @@ let create ?(config = default_config) sys =
               Obs_metrics.gauge (Printf.sprintf "srv.engine.%d.busy_ms" i);
           });
     sessions = Hashtbl.create 7;
-    outcomes = Hashtbl.create 32;
+    outcomes = Lru.create ~capacity:outcome_retention ();
     next_id = 0;
     listener = None;
     m_submitted = Obs_metrics.counter "srv.requests.submitted";
@@ -88,14 +92,14 @@ let open_session ?(lenses = []) t ~user ~password =
     Hashtbl.replace t.sessions user ses;
     Ok ses
 
-let outcome t id = Hashtbl.find_opt t.outcomes id
+let outcome t id = Lru.peek t.outcomes id
 
 let outcomes t =
-  Hashtbl.fold (fun id o acc -> (id, o) :: acc) t.outcomes []
+  List.map (fun (id, o, _) -> (id, o)) (Lru.bindings t.outcomes)
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let settle t id out =
-  Hashtbl.replace t.outcomes id out;
+  Lru.add t.outcomes id out;
   (match out with
   | Srv_request.Completed _ -> Obs_metrics.inc t.m_completed
   | Rejected _ -> Obs_metrics.inc t.m_rejected);

@@ -67,9 +67,16 @@ val drain : t -> unit
 (** Advance the virtual clock to engine-free times until the queue is
     empty — finishes all admitted work. *)
 
+val outcome_retention : int
+(** How many settled outcomes the server keeps (4096): the most recently
+    settled ones, so memory stays bounded over a long run. *)
+
 val outcome : t -> int -> Srv_request.outcome option
+(** [None] for an unknown id, or one evicted from the retained
+    window. *)
+
 val outcomes : t -> (int * Srv_request.outcome) list
-(** All recorded outcomes, by request id. *)
+(** The retained outcomes, by request id. *)
 
 val find_session : t -> string -> Srv_session.t option
 val session_names : t -> string list
@@ -87,4 +94,4 @@ val engine_lines : t -> string list
 
 val report : t -> string
 (** Full status: config, queue, plan cache, engines, sessions, and
-    every outcome in request order. *)
+    every retained outcome in request order. *)

@@ -332,16 +332,15 @@ type kind =
     }
   | Exact of Med_planner.compiled
 
+(* Entries live in the shared Lru core, tagged with the transitive
+   source closure of their accesses for invalidation. *)
 type entry = {
-  e_key : string;
   e_kind : kind;
-  e_sources : string list;  (* transitive closure, for invalidation *)
   e_epoch : int;  (* stats epoch at compile time; stale plans re-optimize *)
   e_idx_epoch : int;
       (* index-registry epoch at compile time: plans optimized before an
          index appeared (or after one dropped) recompile so their access
          estimates see the current indexes *)
-  mutable e_last_used : int;
 }
 
 type stats = {
@@ -354,63 +353,37 @@ type stats = {
 
 type t = {
   cat : Med_catalog.t;
-  cap : int;
-  entries : (string, entry) Hashtbl.t;
+  lru : (string, entry) Lru.t;
   poisoned : (string, unit) Hashtbl.t;
-  mutable tick : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable invalidations : int;
   mutable fallbacks : int;
-  m_hits : Obs_metrics.counter;
-  m_misses : Obs_metrics.counter;
-  m_evictions : Obs_metrics.counter;
-  m_invalidations : Obs_metrics.counter;
   m_size : Obs_metrics.gauge;
 }
 
-let capacity t = t.cap
-let size t = Hashtbl.length t.entries
+let capacity t = Lru.capacity t.lru
+let size t = Lru.size t.lru
 let sync_size t = Obs_metrics.set_gauge t.m_size (float_of_int (size t))
 
+(* A plan compiled under an older statistics epoch may carry a join
+   order the refreshed statistics would no longer choose; one compiled
+   under another index epoch carries access estimates that ignore an
+   index that has since been built (or trust one that was dropped).
+   The core drops such an entry at lookup, counted as an invalidation,
+   and the caller recompiles instead of silently reusing it. *)
 let create ?(capacity = 32) cat =
+  let valid e =
+    e.e_epoch >= Med_catalog.stats_epoch cat && e.e_idx_epoch = Idx_manager.epoch ()
+  in
   let t =
     {
       cat;
-      cap = max 0 capacity;
-      entries = Hashtbl.create 32;
+      lru = Lru.create ~valid ~metrics:(Lru.metrics "srv.plancache") ~capacity ();
       poisoned = Hashtbl.create 7;
-      tick = 0;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-      invalidations = 0;
       fallbacks = 0;
-      m_hits = Obs_metrics.counter "srv.plancache.hits";
-      m_misses = Obs_metrics.counter "srv.plancache.misses";
-      m_evictions = Obs_metrics.counter "srv.plancache.evictions";
-      m_invalidations = Obs_metrics.counter "srv.plancache.invalidations";
       m_size = Obs_metrics.gauge "srv.plancache.size";
     }
   in
   Med_catalog.on_mutation cat (fun name ->
-      let victims =
-        Hashtbl.fold
-          (fun key e acc ->
-            let hit =
-              List.exists
-                (fun s ->
-                  s = name || String.starts_with ~prefix:(name ^ ".") s)
-                e.e_sources
-            in
-            if hit then key :: acc else acc)
-          t.entries []
-      in
-      List.iter (Hashtbl.remove t.entries) victims;
-      t.invalidations <- t.invalidations + List.length victims;
-      if victims <> [] then
-        Obs_metrics.inc ~by:(List.length victims) t.m_invalidations;
+      ignore (Lru.invalidate_tag t.lru name);
       sync_size t);
   t
 
@@ -420,83 +393,30 @@ let invalidate t name =
   before - size t
 
 let clear t =
-  Hashtbl.reset t.entries;
+  Lru.clear t.lru;
   Hashtbl.reset t.poisoned;
   sync_size t
 
 let stats t =
+  let c = Lru.counts t.lru in
   {
-    hits = t.hits;
-    misses = t.misses;
-    evictions = t.evictions;
-    invalidations = t.invalidations;
+    hits = c.Lru.hits;
+    misses = c.Lru.misses;
+    evictions = c.Lru.evictions;
+    invalidations = c.Lru.invalidations;
     fallbacks = t.fallbacks;
   }
 
-let touch t e =
-  t.tick <- t.tick + 1;
-  e.e_last_used <- t.tick
-
-let note_hit t = t.hits <- t.hits + 1; Obs_metrics.inc t.m_hits
-let note_miss t = t.misses <- t.misses + 1; Obs_metrics.inc t.m_misses
-
-(* A plan compiled under an older statistics epoch may carry a join
-   order the refreshed statistics would no longer choose; one compiled
-   under another index epoch carries access estimates that ignore an
-   index that has since been built (or trust one that was dropped).
-   Drop it and recompile instead of silently reusing it. *)
-let find_fresh t key =
-  match Hashtbl.find_opt t.entries key with
-  | Some e
-    when e.e_epoch < Med_catalog.stats_epoch t.cat
-         || e.e_idx_epoch <> Idx_manager.epoch () ->
-    Hashtbl.remove t.entries key;
-    t.invalidations <- t.invalidations + 1;
-    Obs_metrics.inc t.m_invalidations;
-    sync_size t;
-    None
-  | found -> found
-
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun _ e acc ->
-        match acc with
-        | Some best when best.e_last_used <= e.e_last_used -> acc
-        | _ -> Some e)
-      t.entries None
-  in
-  match victim with
-  | None -> ()
-  | Some e ->
-    Hashtbl.remove t.entries e.e_key;
-    t.evictions <- t.evictions + 1;
-    Obs_metrics.inc t.m_evictions
-
-let rec source_closure cat acc name =
-  if List.mem name acc then acc
-  else
-    let acc = name :: acc in
-    let deps = try Med_catalog.dependencies cat name with _ -> [] in
-    List.fold_left (source_closure cat) acc deps
-
 let sources_of t (c : Med_planner.compiled) =
-  List.fold_left
-    (fun acc (_, a) -> source_closure t.cat acc (Med_planner.access_target a))
-    [] c.Med_planner.accesses
+  Med_catalog.closure t.cat
+    (List.map (fun (_, a) -> Med_planner.access_target a) c.Med_planner.accesses)
 
 let store t key kind compiled =
-  while t.cap > 0 && size t >= t.cap do
-    evict_lru t
-  done;
   let e =
-    { e_key = key; e_kind = kind; e_sources = sources_of t compiled;
-      e_epoch = Med_catalog.stats_epoch t.cat;
-      e_idx_epoch = Idx_manager.epoch (); e_last_used = 0 }
+    { e_kind = kind; e_epoch = Med_catalog.stats_epoch t.cat;
+      e_idx_epoch = Idx_manager.epoch () }
   in
-  touch t e;
-  Hashtbl.replace t.entries key e;
-  sync_size t
+  Lru.add t.lru ~tags:(sources_of t compiled) key e
 
 let compile_cold t lens query resolved =
   Med_planner.compile t.cat (Fe_lens.instantiate_values lens query resolved)
@@ -531,73 +451,70 @@ let attempt_parametric t lens query resolved cold =
   | exception Fe_lens.Lens_error _ -> None
   | exception Med_planner.Plan_error _ -> None
 
-let lookup_exact t lens query args resolved =
-  let key = Fe_lens.param_shape_exact lens query args in
-  match find_fresh t key with
-  | Some ({ e_kind = Exact c; _ } as e) ->
-    touch t e;
-    note_hit t;
-    (c, true)
-  | Some _ | None ->
-    let cold = compile_cold t lens query resolved in
-    note_miss t;
-    store t key (Exact cold) cold;
-    (cold, false)
+let store_exact t lens query args cold =
+  store t (Fe_lens.param_shape_exact lens query args) (Exact cold) cold;
+  (cold, false)
 
-let lookup t ~lens ~query ~args =
+let poison t shape =
+  Hashtbl.replace t.poisoned shape ();
+  t.fallbacks <- t.fallbacks + 1
+
+let lookup_exact t lens query args resolved =
+  match Lru.find t.lru (Fe_lens.param_shape_exact lens query args) with
+  | Some { e_kind = Exact c; _ } -> (c, true)
+  | Some _ | None -> store_exact t lens query args (compile_cold t lens query resolved)
+
+(* Shape keys hold parametric entries and exact keys exact ones, so a
+   lookup never finds the other kind under its key. *)
+let lookup_unsynced t ~lens ~query ~args =
   let resolved = Fe_lens.resolve_args lens query args in
-  if t.cap = 0 then (compile_cold t lens query resolved, false)
-  else begin
+  if capacity t = 0 then (compile_cold t lens query resolved, false)
+  else
     let shape = Fe_lens.param_shape lens query args in
     if Hashtbl.mem t.poisoned shape then lookup_exact t lens query args resolved
     else
-      match find_fresh t shape with
-      | Some ({ e_kind = Parametric { compiled; binds }; _ } as e) -> (
+      match Lru.find t.lru shape with
+      | Some { e_kind = Parametric { compiled; binds }; _ } -> (
         match map_compiled (subst_for binds resolved) compiled with
-        | rebound ->
-          touch t e;
-          note_hit t;
-          (rebound, true)
+        | rebound -> (rebound, true)
         | exception Unrebindable _ ->
           (* Cannot happen for a verified entry, but stay safe. *)
-          Hashtbl.remove t.entries shape;
-          Hashtbl.replace t.poisoned shape ();
-          t.fallbacks <- t.fallbacks + 1;
+          ignore (Lru.invalidate t.lru shape);
+          poison t shape;
           lookup_exact t lens query args resolved)
       | Some _ | None -> (
         let cold = compile_cold t lens query resolved in
-        note_miss t;
         match attempt_parametric t lens query resolved cold with
         | Some kind ->
           store t shape kind cold;
           (cold, false)
         | None ->
-          Hashtbl.replace t.poisoned shape ();
-          t.fallbacks <- t.fallbacks + 1;
-          let key = Fe_lens.param_shape_exact lens query args in
-          store t key (Exact cold) cold;
-          (cold, false))
-  end
+          poison t shape;
+          store_exact t lens query args cold)
+
+(* A lookup may drop a stale entry, store one and evict another; the
+   size gauge follows whatever happened, also when compiling raised. *)
+let lookup t ~lens ~query ~args =
+  Fun.protect ~finally:(fun () -> sync_size t) (fun () ->
+      lookup_unsynced t ~lens ~query ~args)
 
 let report t =
+  let c = Lru.counts t.lru in
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf
        "plan cache: size=%d/%d hits=%d misses=%d evictions=%d \
         invalidations=%d fallbacks=%d"
-       (size t) t.cap t.hits t.misses t.evictions t.invalidations t.fallbacks);
-  let entries =
-    Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
-    |> List.sort (fun a b -> compare b.e_last_used a.e_last_used)
-  in
+       (size t) (capacity t) c.Lru.hits c.Lru.misses c.Lru.evictions
+       c.Lru.invalidations t.fallbacks);
   List.iter
-    (fun e ->
+    (fun (key, e, sources) ->
       Buffer.add_string b
         (Printf.sprintf "\n  %s %s  sources=%s"
            (match e.e_kind with
             | Parametric _ -> "param"
             | Exact _ -> "exact")
-           e.e_key
-           (String.concat "," (List.sort compare e.e_sources))))
-    entries;
+           key
+           (String.concat "," (List.sort compare sources))))
+    (Lru.bindings t.lru);
   Buffer.contents b

@@ -18,17 +18,22 @@
     {e poisoned}: such invocations fall back to exact (value-keyed)
     entries, still skipping parse+plan on repeats of identical values.
 
-    Eviction is LRU; mutation events from {!Med_catalog.on_mutation}
-    (source registration, view definition/drop, explicit invalidation)
-    evict every entry whose transitive source closure contains the
+    The entry store is the shared cache core, {!Lru}: O(1) LRU eviction
+    and counters mirrored to the [srv.plancache.*] metrics.  Entries are
+    tagged with the transitive source closure of their accesses, and
+    mutation events from {!Med_catalog.on_mutation} (source
+    registration, view definition/drop, explicit invalidation through
+    {!Med_catalog.notify_invalidation}) drop every entry tagged with the
     mutated name.
 
     Each entry also records the catalog's statistics epoch
-    ({!Med_catalog.stats_epoch}) at compile time.  A lookup that finds
-    an entry compiled under an older epoch — the statistics were
-    refreshed by [\analyze] or drifted materially since — drops it and
-    recompiles, so cached plans never outlive the estimates that chose
-    their join order. *)
+    ({!Med_catalog.stats_epoch}) and the index epoch at compile time;
+    they are the core's validity check.  A lookup that finds an entry
+    compiled under an older epoch — the statistics were refreshed by
+    [\analyze] or drifted materially since, or an index was built or
+    dropped — drops it (counted as an invalidation) and recompiles, so
+    cached plans never outlive the estimates that chose their join
+    order. *)
 
 type t
 
@@ -72,4 +77,5 @@ val stats : t -> stats
 
 val report : t -> string
 (** [plan cache: size=3/32 hits=10 misses=4 evictions=0 invalidations=1
-    fallbacks=0] plus one line per cached shape, LRU order. *)
+    fallbacks=0] plus one line per cached shape, most recently used
+    first. *)

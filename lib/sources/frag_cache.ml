@@ -1,14 +1,9 @@
 (* The fragment-level result cache: raw source round trips, keyed by
-   (source, shipped fragment), below Mat_cache's whole-query cache.  A
-   hit short-circuits the network simulator entirely, so repeated
-   fragments — within a lens burst or across queries — cost nothing on
-   the virtual clock.  Expiry is LRU for capacity and TTL on the
-   virtual clock for freshness (section 3.3's trade-off).
-
-   Recency is an intrusive doubly-linked list threaded through the
-   entries (head = most recent, tail = victim), so touching an entry
-   and evicting the LRU are both O(1) — the old implementation scanned
-   the whole table per insertion at capacity. *)
+   (source, shipped fragment), below Mat_cache's whole-query cache, on
+   the shared Lru core.  A hit short-circuits the network simulator
+   entirely, so repeated fragments — within a lens burst or across
+   queries — cost nothing on the virtual clock.  What this module adds
+   to the core is the stale stash for partial-mode degradation. *)
 
 type stats = {
   mutable frag_hits : int;
@@ -20,187 +15,67 @@ type stats = {
 
 (* Registry mirror, so fragment-cache behaviour shows up in `stats`
    reports next to the whole-query cache counters. *)
-let m_hits = Obs_metrics.counter "fragcache.hits"
-let m_misses = Obs_metrics.counter "fragcache.misses"
-let m_evictions = Obs_metrics.counter "fragcache.evictions"
-let m_expirations = Obs_metrics.counter "fragcache.expirations"
-let m_invalidations = Obs_metrics.counter "fragcache.invalidations"
-
-type entry = {
-  key : string * string;
-  value : Source.result;
-  entry_source : string;
-  born_vms : float;
-  mutable prev : entry option;  (* toward the head (more recent) *)
-  mutable next : entry option;  (* toward the tail (less recent) *)
-}
+let family = Lru.metrics "fragcache"
 
 type t = {
-  cap : int;
-  ttl_ms : float option;
-  table : (string * string, entry) Hashtbl.t;
-  (* TTL-expired values parked for partial-mode stale serving: [get]
-     still removes and miss-counts them exactly as before, but the last
-     known value stays reachable through [get_stale] until the key is
-     refreshed or the source invalidated. *)
+  lru : (string * string, Source.result) Lru.t;
+  (* TTL-expired values parked for partial-mode stale serving: the core
+     still drops and miss-counts them, but the last known value stays
+     reachable through [get_stale] until the key is refreshed or the
+     source invalidated. *)
   stale : (string * string, Source.result) Hashtbl.t;
-  st : stats;
-  mutable head : entry option;  (* most recently used *)
-  mutable tail : entry option;  (* least recently used — the victim *)
 }
 
 let create ?ttl_ms ~capacity () =
-  {
-    cap = capacity;
-    ttl_ms;
-    table = Hashtbl.create (max 1 capacity);
-    stale = Hashtbl.create 8;
-    st =
-      {
-        frag_hits = 0;
-        frag_misses = 0;
-        frag_evictions = 0;
-        frag_expirations = 0;
-        frag_invalidations = 0;
-      };
-    head = None;
-    tail = None;
-  }
+  let stale = Hashtbl.create 8 in
+  let on_expire key value = Hashtbl.replace stale key value in
+  { lru = Lru.create ?ttl_ms ~on_expire ~metrics:family ~capacity (); stale }
 
-let enabled t = t.cap > 0
-
-(* ---- intrusive recency list ---- *)
-
-let unlink t entry =
-  (match entry.prev with
-  | Some p -> p.next <- entry.next
-  | None -> t.head <- entry.next);
-  (match entry.next with
-  | Some n -> n.prev <- entry.prev
-  | None -> t.tail <- entry.prev);
-  entry.prev <- None;
-  entry.next <- None
-
-let push_front t entry =
-  entry.prev <- None;
-  entry.next <- t.head;
-  (match t.head with
-  | Some h -> h.prev <- Some entry
-  | None -> t.tail <- Some entry);
-  t.head <- Some entry
-
-let touch t entry =
-  match t.head with
-  | Some h when h == entry -> ()
-  | _ ->
-    unlink t entry;
-    push_front t entry
-
-let remove t entry =
-  Hashtbl.remove t.table entry.key;
-  unlink t entry
-
-(* ---- cache operations ---- *)
-
-let expired t entry =
-  match t.ttl_ms with
-  | None -> false
-  | Some ttl -> Obs_clock.virtual_ms () -. entry.born_vms > ttl
+let enabled t = Lru.capacity t.lru > 0
 
 let get t ~source ~fragment =
-  if t.cap = 0 then None
-  else
-    let key = (source, fragment) in
-    match Hashtbl.find_opt t.table key with
-    | Some entry when expired t entry ->
-      Hashtbl.replace t.stale key entry.value;
-      remove t entry;
-      t.st.frag_expirations <- t.st.frag_expirations + 1;
-      Obs_metrics.inc m_expirations;
-      t.st.frag_misses <- t.st.frag_misses + 1;
-      Obs_metrics.inc m_misses;
-      None
-    | Some entry ->
-      t.st.frag_hits <- t.st.frag_hits + 1;
-      Obs_metrics.inc m_hits;
-      touch t entry;
-      Some entry.value
-    | None ->
-      t.st.frag_misses <- t.st.frag_misses + 1;
-      Obs_metrics.inc m_misses;
-      None
+  if enabled t then Lru.find t.lru (source, fragment) else None
 
 (* Last-known-value lookup for partial-mode degradation: a live entry
    (even one past its TTL) or a parked expired value.  No hit/miss
    accounting — the caller decides whether staleness was acceptable. *)
 let get_stale t ~source ~fragment =
-  if t.cap = 0 then None
-  else
-    let key = (source, fragment) in
-    match Hashtbl.find_opt t.table key with
-    | Some entry -> Some entry.value
-    | None -> Hashtbl.find_opt t.stale key
-
-let evict_lru t =
-  match t.tail with
-  | Some victim ->
-    remove t victim;
-    t.st.frag_evictions <- t.st.frag_evictions + 1;
-    Obs_metrics.inc m_evictions
-  | None -> ()
+  let key = (source, fragment) in
+  match Lru.peek t.lru key with
+  | Some _ as live -> live
+  | None -> Hashtbl.find_opt t.stale key
 
 let put t ~source ~fragment value =
-  if t.cap > 0 then begin
-    let key = (source, fragment) in
-    Hashtbl.remove t.stale key;
-    (match Hashtbl.find_opt t.table key with
-    | Some old -> remove t old
-    | None -> if Hashtbl.length t.table >= t.cap then evict_lru t);
-    let entry =
-      {
-        key;
-        value;
-        entry_source = source;
-        born_vms = Obs_clock.virtual_ms ();
-        prev = None;
-        next = None;
-      }
-    in
-    push_front t entry;
-    Hashtbl.replace t.table key entry
-  end
+  let key = (source, fragment) in
+  Hashtbl.remove t.stale key;
+  Lru.add t.lru ~tags:[ source ] key value
 
 let invalidate_source t source =
-  let victims =
-    Hashtbl.fold
-      (fun _ entry acc -> if String.equal entry.entry_source source then entry :: acc else acc)
-      t.table []
-  in
-  List.iter (remove t) victims;
   (* Stale values are no fresher than the live ones: an invalidation
      means the source changed, so stale serving must not resurrect
      pre-mutation extents either. *)
-  let stale_victims =
-    Hashtbl.fold
-      (fun ((s, _) as key) _ acc -> if String.equal s source then key :: acc else acc)
-      t.stale []
-  in
-  List.iter (Hashtbl.remove t.stale) stale_victims;
-  t.st.frag_invalidations <- t.st.frag_invalidations + List.length victims;
-  Obs_metrics.inc ~by:(List.length victims) m_invalidations;
-  List.length victims
+  Hashtbl.filter_map_inplace
+    (fun (s, _) v -> if String.equal s source then None else Some v)
+    t.stale;
+  Lru.invalidate_tag t.lru source
 
 let clear t =
-  Hashtbl.reset t.table;
-  Hashtbl.reset t.stale;
-  t.head <- None;
-  t.tail <- None
+  Lru.clear t.lru;
+  Hashtbl.reset t.stale
 
-let size t = Hashtbl.length t.table
-let capacity t = t.cap
-let ttl_ms t = t.ttl_ms
-let stats t = t.st
+let size t = Lru.size t.lru
+let capacity t = Lru.capacity t.lru
+let ttl_ms t = Lru.ttl_ms t.lru
 
-let hit_rate t =
-  let total = t.st.frag_hits + t.st.frag_misses in
-  if total = 0 then 0.0 else float_of_int t.st.frag_hits /. float_of_int total
+let stats t =
+  let c = Lru.counts t.lru in
+  {
+    frag_hits = c.Lru.hits;
+    frag_misses = c.Lru.misses;
+    frag_evictions = c.Lru.evictions;
+    frag_expirations = c.Lru.expirations;
+    frag_invalidations = c.Lru.invalidations;
+  }
+
+let hit_rate t = Lru.hit_rate t.lru
+let summary t = Lru.summary t.lru

@@ -7,12 +7,15 @@
     before any mediator post-processing.  A hit replaces a remote round
     trip, so it costs nothing on the virtual clock.
 
-    Eviction is least-recently-used, O(1) per operation (recency is an
-    intrusive doubly-linked list threaded through the entries, not a
-    table scan); an optional TTL, measured on the
-    {e virtual} clock ({!Obs_clock.virtual_ms}), ages entries out for
-    freshness (section 3.3's warehousing trade-off).  Capacity 0
-    disables the cache entirely (no lookups are counted). *)
+    The store is the shared cache core, {!Lru}: O(1) least-recently-used
+    eviction, an optional TTL on the {e virtual} clock
+    ({!Obs_clock.virtual_ms}) for freshness (section 3.3's warehousing
+    trade-off), and counters mirrored to the [fragcache.*] metrics.
+    Capacity 0 disables the cache entirely (no lookups are counted).
+    This module adds the stale stash: the core hands it every value it
+    expires, for partial-mode degradation.  The owning catalog drops a
+    source's fragments from {!Med_catalog.notify_invalidation}, the one
+    path by which every cache hears about mutations. *)
 
 type t
 
@@ -50,4 +53,9 @@ val size : t -> int
 val capacity : t -> int
 val ttl_ms : t -> float option
 val stats : t -> stats
+(** A snapshot of the counters; later lookups do not change it. *)
+
 val hit_rate : t -> float
+
+val summary : t -> string
+(** Size, TTL and counters in one line ({!Lru.summary}). *)

@@ -217,6 +217,155 @@ let test_mat_cache_ttl () =
   check bool_t "no TTL means no expiry" true (Mat_cache.get untimed "query" <> None)
 
 (* ------------------------------------------------------------------ *)
+(* Property: the cache core agrees with a naive model                  *)
+(* ------------------------------------------------------------------ *)
+
+type lru_op =
+  | Find of string
+  | Add of string * string list
+  | Invalidate of string
+  | Invalidate_tag of string
+  | Clear
+  | Advance of int  (* virtual ms *)
+  | Bump_epoch  (* entries added under an older epoch turn invalid *)
+
+let show_lru_op = function
+  | Find k -> "find " ^ k
+  | Add (k, tags) -> Printf.sprintf "add %s [%s]" k (String.concat "," tags)
+  | Invalidate k -> "invalidate " ^ k
+  | Invalidate_tag n -> "invalidate_tag " ^ n
+  | Clear -> "clear"
+  | Advance ms -> Printf.sprintf "advance %d" ms
+  | Bump_epoch -> "bump_epoch"
+
+(* The model: an assoc list, most recent first, of
+   key -> ((epoch, serial), tags, born_ms), and plain counters. *)
+type lru_model = {
+  mutable entries : (string * ((int * int) * string list * float)) list;
+  mutable m_counts : Lru.counts;
+}
+
+let prop_lru_matches_model =
+  let keys = [ "a"; "b"; "c"; "d"; "e" ] in
+  let tags = [ "s"; "s.x"; "t"; "u.s" ] in
+  let names = [ "s"; "s.x"; "t"; "u"; "x" ] in
+  let gen_op =
+    QCheck2.Gen.(
+      frequency
+        [
+          (4, map (fun k -> Find k) (oneofl keys));
+          (4, map2 (fun k ts -> Add (k, ts)) (oneofl keys) (list_size (int_range 0 2) (oneofl tags)));
+          (1, map (fun k -> Invalidate k) (oneofl keys));
+          (1, map (fun n -> Invalidate_tag n) (oneofl names));
+          (1, pure Clear);
+          (2, map (fun ms -> Advance ms) (int_range 0 15));
+          (1, pure Bump_epoch);
+        ])
+  in
+  let print (cap, ttl, ops) =
+    Printf.sprintf "capacity=%d ttl=%s ops=[%s]" cap
+      (match ttl with Some t -> string_of_int t | None -> "none")
+      (String.concat "; " (List.map show_lru_op ops))
+  in
+  QCheck2.Test.make ~name:"cache core = assoc-list model (counters and recency)" ~count:300
+    ~print
+    QCheck2.Gen.(
+      triple (int_range 0 4) (opt (int_range 1 20)) (list_size (int_range 0 60) gen_op))
+    (fun (cap, ttl, ops) ->
+      Obs_clock.reset_virtual ();
+      let epoch = ref 0 and serial = ref 0 in
+      let expired_core = ref [] and expired_model = ref [] in
+      let ttl_ms = Option.map float_of_int ttl in
+      let lru =
+        Lru.create ?ttl_ms
+          ~valid:(fun (e, _) -> e >= !epoch)
+          ~on_expire:(fun k v -> expired_core := (k, v) :: !expired_core)
+          ~capacity:cap ()
+      in
+      let m =
+        {
+          entries = [];
+          m_counts = { Lru.hits = 0; misses = 0; evictions = 0; expirations = 0; invalidations = 0 };
+        }
+      in
+      let count f = m.m_counts <- f m.m_counts in
+      let remove k = m.entries <- List.remove_assoc k m.entries in
+      let model_find k =
+        match List.assoc_opt k m.entries with
+        | Some (v, _, born)
+          when (match ttl_ms with Some t -> Obs_clock.virtual_ms () -. born > t | None -> false) ->
+          remove k;
+          expired_model := (k, v) :: !expired_model;
+          count (fun c -> { c with expirations = c.expirations + 1; misses = c.misses + 1 });
+          None
+        | Some ((e, _), _, _) when e < !epoch ->
+          remove k;
+          count (fun c -> { c with invalidations = c.invalidations + 1; misses = c.misses + 1 });
+          None
+        | Some ((v, _, _) as entry) ->
+          remove k;
+          m.entries <- (k, entry) :: m.entries;
+          count (fun c -> { c with hits = c.hits + 1 });
+          Some v
+        | None ->
+          count (fun c -> { c with misses = c.misses + 1 });
+          None
+      in
+      let model_add k v ts =
+        if cap > 0 then begin
+          if List.mem_assoc k m.entries then remove k
+          else if List.length m.entries >= cap then begin
+            m.entries <- List.filteri (fun i _ -> i < List.length m.entries - 1) m.entries;
+            count (fun c -> { c with evictions = c.evictions + 1 })
+          end;
+          m.entries <- (k, (v, ts, Obs_clock.virtual_ms ())) :: m.entries
+        end
+      in
+      let model_drop matches =
+        let gone = List.filter matches m.entries in
+        m.entries <- List.filter (fun e -> not (matches e)) m.entries;
+        let n = List.length gone in
+        count (fun c -> { c with invalidations = c.invalidations + n });
+        n
+      in
+      let matches name tag = tag = name || String.starts_with ~prefix:(name ^ ".") tag in
+      let step op =
+        match op with
+        | Find k -> Lru.find lru k = model_find k
+        | Add (k, ts) ->
+          incr serial;
+          let v = (!epoch, !serial) in
+          Lru.add lru ~tags:ts k v;
+          model_add k v ts;
+          true
+        | Invalidate k ->
+          Lru.invalidate lru k = (model_drop (fun (k', _) -> k' = k) = 1)
+        | Invalidate_tag n ->
+          Lru.invalidate_tag lru n
+          = model_drop (fun (_, (_, ts, _)) -> List.exists (matches n) ts)
+        | Clear ->
+          Lru.clear lru;
+          m.entries <- [];
+          true
+        | Advance ms ->
+          Obs_clock.advance (float_of_int ms);
+          true
+        | Bump_epoch ->
+          incr epoch;
+          true
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Lru.counts lru = m.m_counts
+          && List.map (fun (k, _, _) -> k) (Lru.bindings lru) = List.map fst m.entries
+          && List.map (fun (_, _, ts) -> ts) (Lru.bindings lru)
+             = List.map (fun (_, (_, ts, _)) -> ts) m.entries
+          && Lru.size lru = List.length m.entries
+          && !expired_core = !expired_model)
+        ops)
+
+(* ------------------------------------------------------------------ *)
 (* Property: gather + fragment cache is observably identical to        *)
 (* sequential execution, strict and partial alike.                     *)
 (* ------------------------------------------------------------------ *)
@@ -292,6 +441,7 @@ let prop_gather_equals_sequential =
 
 let () =
   let props = List.map QCheck_alcotest.to_alcotest [ prop_gather_equals_sequential ] in
+  let core_props = List.map QCheck_alcotest.to_alcotest [ prop_lru_matches_model ] in
   Alcotest.run "fetch"
     [
       ( "clock",
@@ -317,5 +467,6 @@ let () =
         ] );
       ( "mat-cache",
         [ Alcotest.test_case "result-cache ttl" `Quick test_mat_cache_ttl ] );
+      ("cache-core", core_props);
       ("equivalence", props);
     ]

@@ -219,6 +219,35 @@ let test_cache_get_or_compute () =
   ignore (Mat_cache.get_or_compute c "q" compute);
   check int_t "computed once" 1 !computations
 
+(* Dropping a view and defining it again under the same name must not
+   let the result cache answer with the old body: the drop reaches the
+   cache through the catalog's invalidation path. *)
+let test_redefined_view_not_stale () =
+  let db, _ = make_fixture () in
+  let sys = Nimble.create () in
+  let ok what = function Ok x -> x | Error m -> Alcotest.failf "%s: %s" what m in
+  ok "register" (Nimble.register_source sys (Rel_source.make db));
+  let define region =
+    ok "define"
+      (Nimble.define_view sys "v"
+         (Printf.sprintf
+            {|WHERE <row><name>$n</name><region>"%s"</region></row> IN "crm.customers"
+              CONSTRUCT <y>$n</y>|}
+            region))
+  in
+  let names () =
+    ok "query" (Nimble.query sys {|WHERE <y>$n</y> IN "v" CONSTRUCT <c>$n</c>|})
+    |> List.map Dtree.text |> List.sort compare
+  in
+  define "west";
+  check (Alcotest.list string_t) "first body" [ "Acme"; "Initech" ] (names ());
+  check (Alcotest.list string_t) "repeat served" [ "Acme"; "Initech" ] (names ());
+  ok "drop" (Nimble.drop_view sys "v");
+  define "east";
+  check (Alcotest.list string_t) "new body, not the cached answer" [ "Globex" ] (names ());
+  check bool_t "the repeat was a cache hit" true
+    ((Mat_cache.stats (Nimble.cache sys)).Mat_cache.cache_hits >= 1)
+
 (* Property: cache answers always equal recomputation. *)
 let prop_cache_coherent =
   QCheck2.Test.make ~name:"cache returns what was stored" ~count:100
@@ -263,6 +292,7 @@ let () =
           Alcotest.test_case "source invalidation" `Quick test_cache_source_invalidation;
           Alcotest.test_case "zero capacity" `Quick test_cache_zero_capacity;
           Alcotest.test_case "get_or_compute" `Quick test_cache_get_or_compute;
+          Alcotest.test_case "redefined view is not stale" `Quick test_redefined_view_not_stale;
         ]
         @ props );
     ]

@@ -201,6 +201,22 @@ let test_cache_invalidation () =
   check bool_t "budget 0 disables and clears" true
     ((not (Sem_cache.enabled c)) && Sem_cache.entry_count c = 0)
 
+(* Outcomes are kept for the most recent [outcome_retention] fragment
+   texts only: the first falls out, the latest stays readable. *)
+let test_cache_outcomes_bounded () =
+  let c = Sem_cache.create ~budget_bytes:1_000_000 () in
+  let sql i = Printf.sprintf "SELECT id FROM t WHERE id = %d" i in
+  let n = Sem_cache.outcome_retention + 5 in
+  for i = 1 to n do
+    Sem_cache.record_outcome c ~sql:(sql i) (Sem_cache.O_hit { local = i })
+  done;
+  check bool_t "oldest outcome dropped" true (Sem_cache.last_outcome c ~sql:(sql 1) = None);
+  check bool_t "latest outcome readable" true
+    (Sem_cache.last_outcome c ~sql:(sql n) = Some (Sem_cache.O_hit { local = n }));
+  check bool_t "window is the retention" true
+    (Sem_cache.last_outcome c ~sql:(sql (n - Sem_cache.outcome_retention + 1)) <> None
+    && Sem_cache.last_outcome c ~sql:(sql (n - Sem_cache.outcome_retention)) = None)
+
 (* ------------------------------------------------------------------ *)
 (* Mat_select: exhaustive-search cap (satellite)                       *)
 (* ------------------------------------------------------------------ *)
@@ -558,6 +574,7 @@ let () =
           Alcotest.test_case "disabled refuses" `Quick test_cache_disabled_refuses;
           Alcotest.test_case "eviction order" `Quick test_cache_eviction_order;
           Alcotest.test_case "invalidation" `Quick test_cache_invalidation;
+          Alcotest.test_case "outcomes bounded" `Quick test_cache_outcomes_bounded;
         ] );
       ( "mat_select",
         [ Alcotest.test_case "optimal cap" `Quick test_select_optimal_cap ] );

@@ -555,6 +555,33 @@ let test_dispatch_denies_by_role () =
   | Some s -> check int_t "rejection counted" 1 s.Srv_session.ses_rejected
   | None -> Alcotest.fail "bob's session vanished"
 
+(* The outcome table keeps the most recent [outcome_retention]
+   requests: older ids read as [None], the latest stays readable. *)
+let test_dispatch_outcomes_bounded () =
+  let srv = Srv_dispatch.create (fresh_system ()) in
+  open_demo_sessions srv;
+  let submit lens query =
+    match Srv_dispatch.submit srv ~session:"admin" ~lens ~query () with
+    | Ok id -> id
+    | Error m -> Alcotest.failf "submit: %s" m
+  in
+  let flood = Srv_dispatch.outcome_retention + 10 in
+  (* Unknown lenses settle at once as denials: cheap requests. *)
+  for _ = 1 to flood do
+    ignore (submit "no_such_lens" "q")
+  done;
+  let last = submit "catalog" "all" in
+  Srv_dispatch.drain srv;
+  check int_t "size bounded" Srv_dispatch.outcome_retention
+    (List.length (Srv_dispatch.outcomes srv));
+  check bool_t "oldest evicted" true (Srv_dispatch.outcome srv 0 = None);
+  (match Srv_dispatch.outcome srv (last - 1) with
+  | Some (Srv_request.Rejected (Srv_request.Denied _)) -> ()
+  | _ -> Alcotest.fail "the last denial should still be readable");
+  match Srv_dispatch.outcome srv last with
+  | Some (Srv_request.Completed _) -> ()
+  | _ -> Alcotest.fail "the latest request should still be readable"
+
 (* ------------------------------------------------------------------ *)
 (* Workload driver                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -682,6 +709,7 @@ let () =
           Alcotest.test_case "least-loaded balance + report" `Quick
             test_dispatch_balances_and_reports;
           Alcotest.test_case "role denial settles" `Quick test_dispatch_denies_by_role;
+          Alcotest.test_case "outcomes bounded" `Quick test_dispatch_outcomes_bounded;
         ] );
       ( "workload",
         [
